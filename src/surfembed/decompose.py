@@ -100,8 +100,6 @@ def genus_bound(d: Decomposition, budget: int = 6) -> int:
     mult: Counter[int] = Counter()
     for p in d.pieces:
         mult.update(p.vertices)
-        if p.m == 0 or planarity(p).planar:
-            continue
         r = min_genus(p, budget)
         if r.status != "ok":
             raise BudgetExceeded(f"piece genus search {r.status} at budget {budget}")

@@ -2,11 +2,18 @@
 
 A rotation system fixes a cyclic order of neighbors at each vertex and thereby
 a cellular embedding in an orientable surface; tracing the face orbits and
-applying Euler's formula per component gives the genus.  The minimum over all
-rotation systems is the graph's genus, computed here by a depth-first search
-over incremental face tracings with two sound prunes: the Euler edge bound and
-a faces-still-achievable bound (every face of a component with at least two
-edges consumes at least three darts).
+applying Euler's formula per component gives the genus.
+
+min_genus is the one genus engine.  Genus is additive over biconnected blocks,
+so it splits the graph into blocks and settles every planar block with one
+left-right planarity run, whose embedding it keeps.  Only non-planar blocks
+are searched: a depth-first search on an explicit stack over incremental face
+tracings.  Every face of a 2-connected block holds a cycle, so it takes at
+least girth darts; that bounds the faces still achievable at each node and
+gives each block a certified lower bound, max(1, Euler bound), at which the
+search stops as soon as an embedding reaches it.  The block rotations are
+joined at the cut vertices and the whole rotation is re-traced before it is
+returned.
 
 Planarity is delegated to networkx's linear-time left-right test; the answer is
 never trusted as-is: a planar embedding is converted to a rotation system and
@@ -17,8 +24,8 @@ K5/K33 subdivision witness and re-verified edge by edge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from dataclasses import dataclass
+from typing import Literal, Sequence
 
 import networkx as nx
 
@@ -125,7 +132,7 @@ def genus_of_rotation(g: Graph, rot: RotationSystem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive minimum genus
+# minimum genus
 # ---------------------------------------------------------------------------
 
 
@@ -140,8 +147,9 @@ class GenusResult:
 
     status 'ok': genus is exact and rotation witnesses it.
     status 'exceeds-budget': genus > budget; lower_bound is certified.
-    status 'timeout': search aborted; nothing is certified (upper_bound may
-    still carry the best embedding found).
+    status 'timeout': the deadline ended the search.  lower_bound is still
+    certified (the genera of the blocks settled so far plus the Euler bounds
+    of the rest); genus, rotation and upper_bound are unset.
     """
 
     status: Literal["ok", "exceeds-budget", "timeout"]
@@ -159,206 +167,231 @@ class _Timeout(Exception):
     pass
 
 
-class _Done(Exception):
-    pass
+def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
+    """A genus-0 rotation of g from one LR run, or None if g is not planar."""
+    if all(g.degree(v) <= 2 for v in g.vertices):  # paths and cycles: forced
+        return {v: g.neighbors(v) for v in g.vertices}
+    ng = nx.Graph()
+    ng.add_edges_from(g.edges)
+    planar, emb = nx.check_planarity(ng)
+    if not planar:
+        return None
+    return {v: tuple(emb.neighbors_cw_order(v)) for v in g.vertices}
 
 
-def _component_min_genus(
-    g: Graph, comp: frozenset[int], budget: int, deadline: float | None
-) -> tuple[int | None, dict[int, tuple[int, ...]] | None, int]:
-    """Exact genus of one component if <= budget.
+def _girth(g: Graph) -> int:
+    """Length of a shortest cycle of g, which must have one: breadth-first
+    search from every vertex, stopping once no shorter cycle can close."""
+    best = g.n + 1
+    for s in g.vertices:
+        dist = {s: 0}
+        parent = {s: s}
+        queue = [s]
+        for u in queue:
+            du = dist[u]
+            if 2 * du >= best:
+                break
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    best = min(best, du + dist[w] + 1)
+    return best
 
-    Returns (genus, rotation dict, certified lower bound).  genus None means
-    the certified lower bound is budget + 1.  Raises _Timeout on deadline.
+
+def _search_block(
+    g: Graph, girth: int, lower: int, budget: int, deadline: float | None
+) -> tuple[int, dict[int, tuple[int, ...]]] | None:
+    """Minimum genus of a non-planar 2-connected block if it is <= budget,
+    with a rotation attaining it; None if it exceeds the budget.
+
+    Depth-first search over incremental face tracings, on an explicit stack.
+    Rotations are built as successor pairs over the out-darts at each vertex
+    while faces are traced, so each full leaf is exactly one rotation system.
+    A node is pruned when the faces still achievable cannot reach the target:
+    every face of a 2-connected graph that is not an edge holds a cycle, so
+    it takes at least girth darts.  The search stops at the first embedding
+    of genus `lower`, a certified lower bound.  Raises _Timeout on deadline.
     """
-    verts = sorted(comp, key=lambda v: (-g.degree(v), v))
-    vn = len(verts)
-    edges = [e for e in g.sorted_edges() if e[0] in comp]
-    en = len(edges)
-    if en == 0:
-        return 0, {v: () for v in comp}, 0
-    if en == 1:
-        u, v = edges[0]
-        return 0, {u: (v,), v: (u,)}, 0
-    # Euler edge bound: E <= 3V - 6 + 6g for connected graphs on >= 3 vertices
-    if vn >= 3:
-        euler_lb = max(0, -(-(en - 3 * vn + 6) // 6))
-        if euler_lb > budget:
-            return None, None, euler_lb
-
+    verts = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+    vn, en, nd = len(verts), g.m, 2 * g.m
     vidx = {v: i for i, v in enumerate(verts)}
-    # dart 2i points idx_u -> idx_v for edge i, dart 2i+1 the reverse.
-    # out-darts are grouped per vertex; rotations are built as successor pairs
-    # over out-darts while faces are traced, so each full DFS leaf is exactly
-    # one rotation system and the traversal is exhaustive.
-    head = []
-    for u, v in edges:
-        head.append(vidx[v])
-        head.append(vidx[u])
-    nd = 2 * en
-    out_darts: list[list[int]] = [[] for _ in range(vn)]
-    for d in range(nd):
-        out_darts[head[d ^ 1]].append(d)
-    deg = [len(x) for x in out_darts]
-
-    # dart processing order: darts of high-degree vertices first
-    dart_rank = [0] * nd
-    rank = 0
-    for v in range(vn):
-        for d in out_darts[v]:
-            dart_rank[d] = rank
-            rank += 1
-    by_rank = sorted(range(nd), key=lambda d: dart_rank[d])
+    # darts are numbered vertex by vertex, so the out-darts of vertex i are
+    # lo[i] .. lo[i + 1] - 1 and the lowest unused dart starts the next face
+    tail: list[int] = []
+    head: list[int] = []
+    lo = [0]
+    for i, v in enumerate(verts):
+        for w in g.neighbors(v):
+            tail.append(i)
+            head.append(vidx[w])
+        lo.append(len(tail))
+    dart_of = {(t, h): d for d, (t, h) in enumerate(zip(tail, head))}
+    rev = [dart_of[h, t] for t, h in zip(tail, head)]
+    deg = [lo[i + 1] - lo[i] for i in range(vn)]
 
     succ = [-1] * nd  # successor among out-darts at the same vertex
     pred = [-1] * nd
-    used = [False] * nd
+    used = [False] * (nd + 1)  # used[nd] stays False: "no dart left"
     chain_start = list(range(nd))  # valid when indexed by a chain end
     chain_end = list(range(nd))  # valid when indexed by a chain start
     chain_size = [1] * nd  # valid when indexed by a chain start
 
-    f_parity = (en - vn) % 2
+    # faces needed for genus == budget, then for each better embedding; like
+    # every face count it has the parity of en - vn, so the bound below
+    # needs no parity rounding
+    need = en - vn + 2 - 2 * budget
+    f_stop = en - vn + 2 - 2 * lower
     best_f = -1
-    best_rot: list[int] | None = None
-    f_budget = en - vn + 2 - 2 * budget  # faces needed for genus == budget
-    f_planar = en - vn + 2
+    best_succ: list[int] | None = None
     nodes = 0
 
-    def candidates(x: int, f0: int) -> list[int]:
-        v = head[x ^ 1]  # vertex the out-dart x leaves from
-        out = []
-        close_opt = None
-        for y in out_darts[v]:
-            if pred[y] != -1:
-                continue
-            if chain_start[x] == y:
-                # joining would close the rotation cycle at v
-                if chain_size[y] != deg[v]:
-                    continue
-            if y == f0:
-                close_opt = y
-            elif not used[y]:
-                out.append(y)
-        out.sort()
-        if close_opt is not None:
-            out.insert(0, close_opt)
-        return out
-
-    def dfs(d_last: int, f0: int, closed: int, used_cnt: int) -> None:
-        nonlocal best_f, best_rot, nodes
-        nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise _Timeout
-        need = f_budget if best_f < f_budget else best_f + 2
-        remaining = nd - used_cnt
-        ub = closed + 1 + remaining // 3
-        if (ub - f_parity) % 2:
-            ub -= 1
-        if ub < need:
-            return
-        x = d_last ^ 1  # out-dart at the vertex the face just reached
-        for y in candidates(x, f0):
-            face_close = y == f0
-            cycle_close = chain_start[x] == y  # pair completes the rotation at v
+    # the current node: x is the out-dart at the vertex the open face just
+    # reached, f0 the dart that opened it; cands are the darts that may
+    # follow x in the rotation there, and i the next one to try
+    used[0] = True
+    x, f0, closed, used_cnt = rev[0], 0, 0, 1
+    cands: list[int] | None = None  # None: not built yet for this node
+    stack: list[tuple] = []
+    while True:
+        if cands is None:
             sx = chain_start[x]
-            ey = chain_end[y]
-            szy = chain_size[y]
-            succ[x] = y
-            pred[y] = x
-            if not cycle_close:
-                chain_end[sx] = ey
-                chain_start[ey] = sx
-                chain_size[sx] += szy
-            if face_close:
-                nc = closed + 1
-                nxt = -1
-                for d in by_rank:
-                    if not used[d]:
-                        nxt = d
-                        break
-                if nxt == -1:
-                    if nc > best_f:
-                        best_f = nc
-                        best_rot = succ.copy()
-                        if best_f >= f_planar:
-                            raise _Done
-                else:
-                    used[nxt] = True
-                    dfs(nxt, nxt, nc, used_cnt + 1)
-                    used[nxt] = False
-            else:
-                used[y] = True
-                dfs(y, f0, closed, used_cnt + 1)
-                used[y] = False
+            v = tail[x]
+            cands = []
+            for y in range(lo[v], lo[v + 1]):
+                if pred[y] != -1 or (y == sx and chain_size[y] != deg[v]):
+                    continue
+                if y == f0:
+                    cands.insert(0, y)
+                elif not used[y]:
+                    cands.append(y)
+            i = 0
+        if i == len(cands):
+            if not stack:
+                break
+            x, f0, closed, used_cnt, sx, cands, i, y, mark = stack.pop()
+            used[mark] = False
             succ[x] = -1
             pred[y] = -1
-            if not cycle_close:
+            if y != sx:
+                ey = chain_end[sx]
+                chain_size[sx] -= chain_size[y]
                 chain_end[sx] = x
                 chain_start[ey] = y
-                chain_size[sx] -= szy
+            continue
+        y = cands[i]
+        i += 1
+        if y == f0:  # y closes the open face
+            c_closed = closed + 1
+            mark = used.index(False)
+            if mark == nd:  # every dart lies on a face
+                if c_closed >= need:
+                    best_f = c_closed
+                    best_succ = succ.copy()
+                    best_succ[x] = y
+                    if best_f >= f_stop:
+                        break
+                    need = best_f + 2
+                continue
+            c_f0 = mark
+        else:
+            c_closed = closed
+            mark = y
+            c_f0 = f0
+        nodes += 1
+        if deadline is not None and nodes & 4095 == 0 and time.monotonic() > deadline:
+            raise _Timeout
+        if c_closed + 1 + (nd - used_cnt - 1) // girth < need:
+            continue
+        # descend: x -> y becomes a rotation pair, mark joins the open face
+        stack.append((x, f0, closed, used_cnt, sx, cands, i, y, mark))
+        succ[x] = y
+        pred[y] = x
+        if y != sx:  # join the chains of x and y unless y closes x's cycle
+            ey = chain_end[y]
+            chain_end[sx] = ey
+            chain_start[ey] = sx
+            chain_size[sx] += chain_size[y]
+        used[mark] = True
+        x, f0, closed, used_cnt = rev[mark], c_f0, c_closed, used_cnt + 1
+        cands = None
 
-    first = by_rank[0]
-    used[first] = True
-    try:
-        dfs(first, first, 0, 1)
-    except _Done:
-        pass
-
-    if best_f < f_budget:
-        return None, None, budget + 1
-    genus = (2 - vn + en - best_f) // 2
-    assert best_rot is not None
-    # succ pairs -> cyclic neighbor order per vertex
+    if best_succ is None:
+        return None
     rot: dict[int, tuple[int, ...]] = {}
     for v in range(vn):
-        ds = out_darts[v]
-        start = ds[0]
-        cyc = [start]
-        cur = best_rot[start]
-        while cur != start:
-            cyc.append(cur)
-            cur = best_rot[cur]
+        cyc = [lo[v]]
+        d = best_succ[lo[v]]
+        while d != lo[v]:
+            cyc.append(d)
+            d = best_succ[d]
         rot[verts[v]] = tuple(verts[head[d]] for d in cyc)
-    return genus, rot, genus
+    return (2 - vn + en - best_f) // 2, rot
 
 
 def min_genus(
     g: Graph, budget: int, timeout: float | None = None
 ) -> GenusResult:
-    """Exact minimum orientable genus by exhaustive rotation search.
+    """Exact minimum orientable genus, if it is at most budget.
 
-    Components are searched independently and their genera summed.  If the sum
-    certifiably exceeds the budget the search stops with a certified lower
-    bound; a timeout yields status 'timeout' with nothing certified.
+    Genus is additive over blocks (Battle, Harary, Kodama & Youngs, 1962).
+    Each planar block is settled by one LR run, which gives its embedding.
+    Each non-planar block gets the certified lower bound max(1, Euler bound
+    with faces of at least girth darts), and the exhaustive search runs on
+    it with the budget left after the other blocks' lower bounds.  The
+    block rotations are concatenated at the cut vertices and the whole
+    rotation is re-traced.  The timeout bounds the whole call.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     deadline = time.monotonic() + timeout if timeout is not None else None
-    total = 0
-    rot: dict[int, tuple[int, ...]] = {}
-    comps = g.components()
-    try:
-        for comp in comps:
-            res, crot, lb = _component_min_genus(g, comp, budget - total, deadline)
-            if res is None:
-                return GenusResult(
-                    status="exceeds-budget",
-                    genus=None,
-                    rotation=None,
-                    lower_bound=total + lb,
-                )
-            total += res
-            assert crot is not None
-            rot.update(crot)
-    except _Timeout:
+    rot: dict[int, list[int]] = {v: [] for v in g.vertices}
+    hard: list[tuple[Graph, int, int]] = []  # (block, girth, lower bound)
+    for be in blocks(g).blocks:
+        bg = g.edge_subgraph(be)
+        brot = _planar_rotation(bg)
+        if brot is None:
+            girth = _girth(bg)
+            lower = max(1, (3 - bg.n + bg.m - 2 * bg.m // girth) // 2)
+            hard.append((bg, girth, lower))
+        else:
+            for v, ns in brot.items():
+                rot[v].extend(ns)
+    reserve = sum(lower for _, _, lower in hard)  # lower bounds of unsearched blocks
+    if reserve > budget:
         return GenusResult(
-            status="timeout", genus=None, rotation=None, lower_bound=0
+            status="exceeds-budget", genus=None, rotation=None, lower_bound=reserve
         )
+    total = 0
+    for bg, girth, lower in hard:
+        reserve -= lower
+        try:
+            found = _search_block(bg, girth, lower, budget - total - reserve, deadline)
+        except _Timeout:
+            return GenusResult(
+                status="timeout", genus=None, rotation=None,
+                lower_bound=total + lower + reserve,
+            )
+        if found is None:
+            return GenusResult(
+                status="exceeds-budget", genus=None, rotation=None,
+                lower_bound=budget + 1,
+            )
+        total += found[0]
+        for v, ns in found[1].items():
+            rot[v].extend(ns)
     rs = RotationSystem.from_dict(rot)
-    assert genus_of_rotation(g, rs) == total
+    traced = genus_of_rotation(g, rs)
+    if traced != total:
+        raise AssertionError(f"assembled rotation traced to {traced}, expected {total}")
     return GenusResult(
         status="ok", genus=total, rotation=rs, lower_bound=total, upper_bound=total
     )
+
+
+genus_additivity = min_genus  # the block split is part of min_genus
 
 
 # ---------------------------------------------------------------------------
@@ -520,71 +553,6 @@ def planarity(g: Graph) -> PlanarityResult:
     if bad:
         raise AssertionError(f"undecodable Kuratowski counterexample: {bad}")
     return PlanarityResult(planar=False, witness=w)
-
-
-# ---------------------------------------------------------------------------
-# additivity over blocks and components
-# ---------------------------------------------------------------------------
-
-_block_genus_cache: dict[tuple[frozenset[int], frozenset[Edge], int], GenusResult] = {}
-
-
-def _block_min_genus(bg: Graph, budget: int, timeout: float | None) -> GenusResult:
-    key = (bg.vertices, bg.edges, budget)
-    hit = _block_genus_cache.get(key)
-    if hit is not None:
-        return hit
-    pr = planarity(bg)
-    if pr.planar:
-        res = GenusResult(
-            status="ok", genus=0, rotation=pr.rotation, lower_bound=0, upper_bound=0
-        )
-    else:
-        if budget <= 0:
-            res = GenusResult(
-                status="exceeds-budget", genus=None, rotation=None, lower_bound=1
-            )
-        else:
-            res = min_genus(bg, budget, timeout=timeout)
-    _block_genus_cache[key] = res
-    return res
-
-
-def genus_additivity(
-    g: Graph, budget: int, timeout: float | None = None
-) -> GenusResult:
-    """Genus via block decomposition: the genus of a graph is the sum of the
-    genera of its biconnected blocks.  Rotations are reassembled at the cut
-    vertices (each block's cyclic order kept contiguous) and re-traced, so the
-    returned witness is verified end to end."""
-    bs = blocks(g)
-    total = 0
-    rot: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for be in bs.blocks:
-        bg = g.edge_subgraph(be)
-        res = _block_min_genus(bg, budget - total, timeout)
-        if res.status == "timeout":
-            return res
-        if res.status == "exceeds-budget":
-            return GenusResult(
-                status="exceeds-budget",
-                genus=None,
-                rotation=None,
-                lower_bound=total + res.lower_bound,
-            )
-        assert res.rotation is not None and res.genus is not None
-        total += res.genus
-        for v, ns in res.rotation.as_dict().items():
-            rot[v].extend(ns)
-    rs = RotationSystem.from_dict({v: tuple(ns) for v, ns in rot.items()})
-    traced = genus_of_rotation(g, rs)
-    if traced != total:
-        raise AssertionError(
-            f"block additivity assembly traced to {traced}, expected {total}"
-        )
-    return GenusResult(
-        status="ok", genus=total, rotation=rs, lower_bound=total, upper_bound=total
-    )
 
 
 # ---------------------------------------------------------------------------

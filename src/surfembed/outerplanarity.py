@@ -435,8 +435,6 @@ def su_obstruction(
 
     def nice(h: Graph, marks: frozenset[int]) -> bool:
         ch, _ = cone(h, marks & h.vertices)
-        if genus_budget == 0:
-            return planarity(ch).planar
         r = min_genus(ch, genus_budget, timeout=_remaining(deadline))
         if r.status == "timeout":
             raise SearchTimeout

@@ -168,6 +168,12 @@ def test_cli_genus_budget_exhaustion(tmp_path, capsys):
     assert main(["genus", "--budget", "0", _k5(tmp_path)]) == 2
 
 
+def test_cli_genus_long_cycle(tmp_path, capsys):
+    path = _write(tmp_path, "c600.txt", format_edge_list(cycle_graph(600)))
+    assert main(["genus", "--json", "--budget", "0", path]) == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == 0
+
+
 def test_cli_genus_rotation_verifies(tmp_path, capsys):
     assert main(["genus", "--json", "--budget", "1", _k5(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
