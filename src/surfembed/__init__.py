@@ -53,6 +53,7 @@ from .embeddings import (
     genus_additivity,
     genus_of_rotation,
     handle_merge,
+    is_planar,
     min_genus,
     planarity,
     trace_faces,

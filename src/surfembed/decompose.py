@@ -27,8 +27,8 @@ from .embeddings import (
     BudgetExceeded,
     RotationSystem,
     genus_of_rotation,
+    is_planar,
     min_genus,
-    planarity,
     trace_faces,
 )
 
@@ -75,7 +75,7 @@ def verify_decomposition(
     for i, p in enumerate(d.pieces):
         if p.vertices - g.vertices or p.edges - g.edges:
             errs.append(f"piece {i} is not a subgraph of the host")
-        if not planarity(p).planar:
+        if not is_planar(p):
             errs.append(f"piece {i} is not planar")
         vs |= p.vertices
         es |= p.edges
@@ -198,7 +198,7 @@ class _Layout:
                     eb = ids[(fi, b)]
                 edges.append((ea, eb))
             piece = Graph([], edges)
-            assert planarity(piece).planar, "face content is not planar"
+            assert is_planar(piece), "face content is not planar"
             self.faces.append(piece)
 
     def project(self, u: int) -> int:
@@ -279,7 +279,7 @@ def decompose(g: Graph, genus_budget: int, timeout: float | None = None) -> Deco
                 if a in comp and b in comp
             ]
             piece = Graph([], edges)
-            assert planarity(piece).planar, "projected piece is not planar"
+            assert is_planar(piece), "projected piece is not planar"
             pieces.append(piece)
     pieces.extend(Graph([], [e]) for e in sorted(refined.edges))
     d = Decomposition(pieces, refined)
@@ -297,7 +297,7 @@ def contraction_planarize(
     minimal forest in g and contract that; when the forest is too large or
     does not work, fall back to exhaustive search over small edge subsets.
     """
-    if planarity(g).planar:
+    if is_planar(g):
         return frozenset()
     if k <= 0:
         return None
@@ -308,13 +308,13 @@ def contraction_planarize(
         forest = minimal_connecting_forest(g, shared)
         if 0 < forest.m <= k:
             q, _ = contract(g, forest.edges)
-            if planarity(q).planar:
+            if is_planar(q):
                 return frozenset(forest.edges)
     except BudgetExceeded:
         pass
     for size in range(1, k + 1):
         for combo in combinations(sorted(g.edges), size):
             q, _ = contract(g, combo)
-            if planarity(q).planar:
+            if is_planar(q):
                 return frozenset(norm_edge(a, b) for a, b in combo)
     return None

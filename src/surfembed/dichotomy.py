@@ -22,14 +22,15 @@ from .core import (
     PathSystem,
     complete_bipartite,
     complete_graph,
+    cone,
     contract,
     max_disjoint_paths,
     norm_edge,
 )
 from .decompose import Decomposition, decompose, genus_bound
-from .embeddings import BudgetExceeded, RotationSystem, planarity
+from .embeddings import BudgetExceeded, is_planar
 from .minors import MinorModel, pack_bouquet, pack_disjoint, verify_model
-from .outerplanarity import NonPlanarInput, is_u_outerplanar, su_obstruction
+from .outerplanarity import su_obstruction
 from .patterns import (
     PatternId,
     aux_copies,
@@ -610,10 +611,8 @@ def forest_contract_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
 
 
 def _outerplanar(g: Graph) -> bool:
-    try:
-        return isinstance(is_u_outerplanar(g, g.vertices), RotationSystem)
-    except NonPlanarInput:
-        return False
+    """g is outerplanar exactly when the cone over all its vertices is planar."""
+    return is_planar(cone(g, g.vertices)[0])
 
 
 def almost_outerplanar_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
@@ -651,7 +650,7 @@ def planar_vertex_flaws(g: Graph, n: int, k: int) -> DichotomyOutcome:
     verts = g.sorted_vertices()
     for size in range(min(k, len(verts)) + 1):
         for w in itertools.combinations(verts, size):
-            if planarity(g.remove_vertices(w)).planar:
+            if is_planar(g.remove_vertices(w)):
                 return DichotomyOutcome("flaw-set", flaw=frozenset(w))
     found = _first_witness(
         [

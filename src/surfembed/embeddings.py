@@ -15,19 +15,24 @@ search stops as soon as an embedding reaches it.  The block rotations are
 joined at the cut vertices and the whole rotation is re-traced before it is
 returned.
 
-Planarity is delegated to networkx's linear-time left-right test; the answer is
-never trusted as-is: a planar embedding is converted to a rotation system and
-re-traced to genus 0, and a non-planar verdict is decoded into an explicit
-K5/K33 subdivision witness and re-verified edge by edge.
+Planarity has two modes, and every left-right (LR) run goes through _lr_run,
+which calls networkx's linear-time LR test directly.  is_planar() counts edges
+and degrees first and makes at most one LR run; it returns a bool and nothing
+else.  planarity() gives evidence either way: a planar embedding from one LR
+run is converted to a rotation system and re-traced to genus 0, and a
+non-planar graph is cut down to one non-planar block and then by chunked edge
+deletion (ddmin) to a K5/K33 subdivision witness, re-verified edge by edge.
+min_genus settles its planar blocks through the same LR helper.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import networkx as nx
+from networkx.algorithms.planarity import LRPlanarity
 
 from .core import Edge, Graph, blocks, norm_edge
 
@@ -165,18 +170,6 @@ class GenusResult:
 
 class _Timeout(Exception):
     pass
-
-
-def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
-    """A genus-0 rotation of g from one LR run, or None if g is not planar."""
-    if all(g.degree(v) <= 2 for v in g.vertices):  # paths and cycles: forced
-        return {v: g.neighbors(v) for v in g.vertices}
-    ng = nx.Graph()
-    ng.add_edges_from(g.edges)
-    planar, emb = nx.check_planarity(ng)
-    if not planar:
-        return None
-    return {v: tuple(emb.neighbors_cw_order(v)) for v in g.vertices}
 
 
 def _girth(g: Graph) -> int:
@@ -472,52 +465,43 @@ class PlanarityResult:
     witness: KuratowskiWitness | None = None
 
 
-def _decode_kuratowski(sub: Graph) -> KuratowskiWitness:
-    """Read a K5/K33 subdivision off a Kuratowski subgraph."""
-    work = sub
-    while True:  # strip stray low-degree vertices, if any
-        drop = [v for v in work.vertices if work.degree(v) <= 1]
-        if not drop:
-            break
-        work = work.remove_vertices(drop)
-    branch = sorted(v for v in work.vertices if work.degree(v) >= 3)
+def _decode_kuratowski(edges: list[Edge]) -> KuratowskiWitness | None:
+    """Read a K5/K33 subdivision off an edge set, or None when the degrees
+    do not have that shape.  The result still has to be verified."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    branch = sorted(v for v, ns in adj.items() if len(ns) != 2)
+    degs = [len(adj[b]) for b in branch]
+    if degs != [4] * 5 and degs != [3] * 6:
+        return None
     paths: list[tuple[int, ...]] = []
     seen_edges: set[Edge] = set()
     for b in branch:
-        for nb in work.neighbors(b):
+        for nb in adj[b]:
             if norm_edge(b, nb) in seen_edges:
                 continue
             path = [b, nb]
             seen_edges.add(norm_edge(b, nb))
-            while work.degree(path[-1]) == 2:
-                a, c = work.neighbors(path[-1])
-                nxt = c if a == path[-2] else a
+            while len(adj[path[-1]]) == 2:
+                x, y = adj[path[-1]]
+                nxt = y if x == path[-2] else x
                 seen_edges.add(norm_edge(path[-1], nxt))
                 path.append(nxt)
-            if path[-1] in branch and (path[0] < path[-1] or (path[0] == path[-1])):
-                paths.append(tuple(path))
-            elif path[-1] in branch:
-                # keep one direction only; the reverse walk finds it again
-                pass
-    degs = sorted(work.degree(v) for v in branch)
-    if len(branch) == 5 and degs == [4] * 5:
-        kind = "K5"
+            paths.append(tuple(path))
+    if len(branch) == 5:
+        kind: Literal["K5", "K33"] = "K5"
         order = branch
-    elif len(branch) == 6 and degs == [3] * 6:
+    else:
         kind = "K33"
         # bipartition: vertices joined by a path are on opposite sides
-        adj: dict[int, set[int]] = {b: set() for b in branch}
-        for p in paths:
-            adj[p[0]].add(p[-1])
-            adj[p[-1]].add(p[0])
-        a0 = branch[0]
-        side_a = sorted(b for b in branch if b not in adj[a0])
-        side_b = sorted(adj[a0])
+        across = {p[-1] for p in paths if p[0] == branch[0]}
+        side_a = sorted(set(branch) - across)
+        side_b = sorted(across)
         if len(side_a) != 3 or len(side_b) != 3:
-            raise AssertionError("counterexample is not a K33 subdivision")
+            return None
         order = side_a + side_b
-    else:
-        raise AssertionError("counterexample is not a Kuratowski subgraph")
     pos = {v: i for i, v in enumerate(order)}
     tagged = []
     for p in paths:
@@ -530,29 +514,164 @@ def _decode_kuratowski(sub: Graph) -> KuratowskiWitness:
     return KuratowskiWitness(kind=kind, branch_vertices=tuple(order), paths=tuple(tagged))
 
 
-def planarity(g: Graph) -> PlanarityResult:
-    """Planarity with evidence either way: a genus-0 rotation system or a
-    verified K5/K33 subdivision witness."""
+def _lr_run(edges: Iterable[Edge]) -> nx.PlanarEmbedding | None:
+    """One left-right planarity run on an edge set: networkx's LR test,
+    called without the check_planarity dispatch.  Every LR run in the
+    package goes through here.  Returns the embedding, or None when the
+    graph is not planar."""
     ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    ng.add_edges_from(g.edges)
-    ok, cert = nx.check_planarity(ng, counterexample=True)
-    if ok:
-        ok2, emb = nx.check_planarity(ng)
-        assert ok2
-        rot = {}
-        for v in g.vertices:
-            rot[v] = tuple(emb.neighbors_cw_order(v)) if g.degree(v) else ()
+    ng.add_edges_from(edges)
+    return LRPlanarity(ng).lr_planarity()
+
+
+def _counted(m: int, degs: Iterable[int]) -> bool | None:
+    """Planarity of a graph with m edges and the given vertex degrees,
+    settled by counting alone, or None.  A non-planar graph holds a K5
+    subdivision, with 10 edges and 5 vertices of degree >= 4, or a K33
+    subdivision, with 9 edges and 6 vertices of degree >= 3.  A planar
+    graph on n >= 3 vertices of positive degree has at most 3n - 6 edges."""
+    if m < 9:
+        return True
+    n = three = four = 0
+    for d in degs:
+        n += d > 0
+        three += d >= 3
+        four += d >= 4
+    if three < 6 and four < 5:
+        return True
+    if m > 3 * n - 6:
+        return False
+    return None
+
+
+def _counted_graph(g: Graph) -> bool | None:
+    return _counted(g.m, (g.degree(v) for v in g.vertices))
+
+
+def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
+    """A genus-0 rotation of g from at most one LR run, or None if g is not
+    planar.  Paths and cycles need no run, nor do graphs denser than 3n - 6."""
+    if all(g.degree(v) <= 2 for v in g.vertices):  # rotations are forced
+        return {v: g.neighbors(v) for v in g.vertices}
+    if _counted_graph(g) is False:
+        return None
+    emb = _lr_run(g.edges)
+    if emb is None:
+        return None
+    return {v: tuple(emb.neighbors_cw_order(v)) if g.degree(v) else () for v in g.vertices}
+
+
+def is_planar(g: Graph) -> bool:
+    """Boolean planarity: counting, then at most one LR run.  No rotation
+    and no witness is built, so nothing is certified; callers that need
+    evidence use planarity()."""
+    known = _counted_graph(g)
+    if known is not None:
+        return known
+    return _lr_run(g.edges) is not None
+
+
+def _core(edges: list[Edge]) -> tuple[list[Edge], bool | None]:
+    """Peel pendant edges until none is left, keeping the order of the rest,
+    and settle the rest by counting if possible.  An edge at a vertex of
+    degree 1 lies in no Kuratowski subgraph."""
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    leaves = [v for v, ns in adj.items() if len(ns) == 1]
+    peeled: set[int] = set()
+    while leaves:
+        v = leaves.pop()
+        if len(adj[v]) != 1:  # its last edge went with its neighbour
+            continue
+        peeled.add(v)
+        (w,) = adj[v]
+        adj[v].clear()
+        adj[w].discard(v)
+        if len(adj[w]) == 1:
+            leaves.append(w)
+    if peeled:
+        edges = [e for e in edges if e[0] not in peeled and e[1] not in peeled]
+    return edges, _counted(len(edges), (len(ns) for ns in adj.values()))
+
+
+def _nonplanar_block(g: Graph) -> list[Edge]:
+    """The edges of one non-planar block of non-planar g.  Planarity is
+    additive over blocks, so there is one.  Blocks that counting cannot
+    settle are run smallest first; the last one left needs no run."""
+    open_blocks = []
+    for be in blocks(g).blocks:
+        es, known = _core(sorted(be))
+        if known is False:
+            return es
+        if known is None:
+            open_blocks.append(es)
+    open_blocks.sort(key=len)
+    for es in open_blocks[:-1]:
+        if _lr_run(es) is None:
+            return es
+    return open_blocks[-1]
+
+
+def _as_witness(g: Graph, edges: list[Edge]) -> KuratowskiWitness | None:
+    """The K5/K33 subdivision formed by edges, if they decode to one that
+    verifies in g; None otherwise."""
+    w = _decode_kuratowski(edges)
+    return w if w is not None and not verify_kuratowski(g, w) else None
+
+
+def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
+    """A K5/K33 subdivision in non-planar g, verified by verify_kuratowski.
+
+    Chunked deletion (ddmin) on one non-planar block: chunks of edges that
+    halve in size are deleted while the rest stays non-planar, pendant
+    edges are peeled after each deletion, and counting settles what it can
+    before an LR run.  An edge whose deletion leaves a planar graph is
+    needed in every non-planar subgraph of the current one, so after the
+    pass with single edges the rest is a minimal non-planar subgraph: a
+    Kuratowski subdivision.  The search stops as soon as the rest has the
+    degrees of one and decodes to a witness that verifies.
+    """
+    cur = _nonplanar_block(g)
+    size = len(cur)
+    while size > 1:
+        size //= 2
+        w = _as_witness(g, cur)
+        if w is not None:
+            return w
+        i = 0  # cur[:i] has been tried in this pass and is kept
+        while i < len(cur):
+            trial, known = _core(cur[:i] + cur[i + size:])
+            if known is None:
+                known = _lr_run(trial) is not None
+            if known:
+                i += size
+                continue
+            alive = set(trial)
+            i = sum(e in alive for e in cur[:i])
+            cur = trial
+            w = _as_witness(g, cur)
+            if w is not None:
+                return w
+    raise AssertionError("minimal non-planar subgraph is not a Kuratowski subdivision")
+
+
+def planarity(g: Graph) -> PlanarityResult:
+    """Planarity with evidence either way, the certificate mode.
+
+    Planar input costs at most one LR run, whose embedding becomes a
+    rotation system that is re-traced to genus 0.  Non-planar input gets
+    a K5/K33 subdivision witness that is re-verified edge by edge.  Use
+    is_planar() when a bool is enough.
+    """
+    rot = _planar_rotation(g)
+    if rot is not None:
         rs = RotationSystem.from_dict(rot)
         if genus_of_rotation(g, rs) != 0:
             raise AssertionError("planar embedding did not trace to genus 0")
         return PlanarityResult(planar=True, rotation=rs)
-    sub = Graph(cert.nodes(), cert.edges())
-    w = _decode_kuratowski(sub)
-    bad = verify_kuratowski(g, w)
-    if bad:
-        raise AssertionError(f"undecodable Kuratowski counterexample: {bad}")
-    return PlanarityResult(planar=False, witness=w)
+    return PlanarityResult(planar=False, witness=_kuratowski_witness(g))
 
 
 # ---------------------------------------------------------------------------

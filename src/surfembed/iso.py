@@ -1,12 +1,11 @@
 """Canonical forms and isomorphism for small graphs.
 
-Plain refinement-plus-backtracking canonical labeling.  Fine for the desk-scale
-graphs this package works with (tens of vertices); not meant for more.
+Canonical labeling by individualisation and refinement, with automorphism
+pruning.  Fine for the desk-scale graphs this package works with (tens of
+vertices); not meant for more.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .core import Graph
 
@@ -27,50 +26,64 @@ def _refine(g: Graph, colors: dict[int, int]) -> dict[int, int]:
 
 
 def canonical_form(g: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
-    """A label-independent fingerprint: (n, canonically relabeled edge set)."""
-    verts = g.sorted_vertices()
-    n = len(verts)
-    if n == 0:
+    """A label-independent fingerprint: (n, canonically relabeled edge set).
+
+    Individualise and refine: from the stable colouring, the first colour
+    class with more than one vertex is split by giving each of its
+    vertices in turn a colour of its own, and the colouring is refined
+    again; each discrete colouring orders the vertices, and the least
+    relabeled edge list over all of them is the form.  Two leaves with the
+    same edge list give an automorphism, and a vertex is not tried where
+    an automorphism fixing the vertices individualised so far maps it to
+    one already tried, since its subtree gives the same forms.
+    """
+    if not g.vertices:
         return (0, frozenset())
-    colors = _refine(g, {v: 0 for v in verts})
-    classes: dict[int, list[int]] = {}
-    for v in verts:
-        classes.setdefault(colors[v], []).append(v)
-    cells = [sorted(classes[c]) for c in sorted(classes)]
+    best: tuple[tuple[int, int], ...] | None = None
+    best_order: list[int] = []
+    autos: list[dict[int, int]] = []
 
-    best: frozenset[tuple[int, int]] | None = None
-    # backtrack over orderings consistent with the color classes
-    def assemble(perm_lists: list[tuple[int, ...]]) -> None:
-        nonlocal best
-        order: list[int] = []
-        for p in perm_lists:
-            order.extend(p)
-        pos = {v: i for i, v in enumerate(order)}
-        es = frozenset(
-            (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges
-        )
-        key = sorted(es)
-        if best is None or key < sorted(best):
-            best = es
+    def same_orbit(v: int, tried: list[int], fixed: list[int]) -> bool:
+        root = {u: u for u in g.vertices}
 
-    def rec(i: int, acc: list[tuple[int, ...]]) -> None:
-        if i == len(cells):
-            assemble(acc)
+        def find(u: int) -> int:
+            while root[u] != u:
+                u = root[u]
+            return u
+
+        for a in autos:
+            if all(a[f] == f for f in fixed):
+                for u, w in a.items():
+                    root[find(u)] = find(w)
+        return any(find(v) == find(t) for t in tried)
+
+    def search(colors: dict[int, int], fixed: list[int]) -> None:
+        nonlocal best, best_order
+        cells: dict[int, list[int]] = {}
+        for v in sorted(g.vertices):
+            cells.setdefault(colors[v], []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            key = tuple(sorted(
+                (min(colors[u], colors[v]), max(colors[u], colors[v])) for u, v in g.edges
+            ))
+            order = sorted(g.vertices, key=colors.__getitem__)
+            if best is None or key < best:
+                best, best_order = key, order
+            elif key == best:
+                autos.append(dict(zip(best_order, order)))
             return
-        cell = cells[i]
-        if len(cell) > 7:
-            # identical-looking large cell: single ordering is enough only if
-            # the cell is fully symmetric; fall back to sorted order plus its
-            # reversal as a cheap hedge (exact behavior preserved by callers
-            # that only need equality of truly isomorphic graphs... so keep
-            # full enumeration but cap factorials at 7! for safety)
-            raise ValueError("canonical_form: color class too large")
-        for p in permutations(cell):
-            rec(i + 1, acc + [p])
+        tried: list[int] = []
+        for v in target:
+            if tried and same_orbit(v, tried, fixed):
+                continue
+            tried.append(v)
+            split = {u: 2 * c + (u != v) for u, c in colors.items()}
+            search(_refine(g, split), fixed + [v])
 
-    rec(0, [])
+    search(_refine(g, {v: 0 for v in g.vertices}), [])
     assert best is not None
-    return (n, best)
+    return (g.n, frozenset(best))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

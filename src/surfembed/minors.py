@@ -350,7 +350,10 @@ def pack_disjoint(
     Greedy first: the recursion takes the first model it sees and moves
     on, falling back to the next candidate only when the remainder fails.
     An incomplete result with exhausted=True certifies that no n-packing
-    exists.
+    exists.  Models with disjoint supports use disjoint vertices and
+    edges, so when k more copies of h do not fit into what is left of the
+    host by count alone, no backtracking is needed below that level: the
+    partial packing is only extended greedily.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -363,12 +366,15 @@ def pack_disjoint(
             best = list(acc)
         if k == 0:
             return list(acc)
+        if h.n > host.n or h.m > host.m:
+            return None
+        fits = k * h.n <= host.n and k * h.m <= host.m
         for bsets, connectors in _model_stream(
             host, h, g_marked=g_marked, h_marked=h_marked, deadline=deadline
         ):
             m = MinorModel(bsets, connectors)
             rest = recurse(k - 1, host.remove_vertices(m.support()), acc + [m])
-            if rest is not None:
+            if rest is not None or not fits:
                 return rest
         return None
 

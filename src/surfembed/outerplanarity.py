@@ -27,6 +27,7 @@ from .embeddings import (
     BudgetExceeded,
     KuratowskiWitness,
     RotationSystem,
+    is_planar,
     min_genus,
     planarity,
 )
@@ -130,9 +131,8 @@ def is_u_outerplanar(g: Graph, u: Iterable[int]) -> RotationSystem | ThetaWitnes
     stray = u - g.vertices
     if stray:
         raise ValueError(f"marked vertices not in graph: {sorted(stray)}")
-    base = planarity(g)
-    if not base.planar:
-        raise NonPlanarInput(base.witness)
+    if not is_planar(g):
+        raise NonPlanarInput(planarity(g).witness)
     cg, apex = cone(g, u)
     res = planarity(cg)
     if res.planar:
@@ -373,8 +373,7 @@ def _free_theta(g: MarkedGraph, deadline: float | None) -> ThetaWitness | None:
     Planar g with a non-planar cone decodes directly from the Kuratowski
     witness; otherwise the four patterns are searched exhaustively.
     """
-    base = planarity(g.graph)
-    if base.planar:
+    if is_planar(g.graph):
         cg, apex = cone(g.graph, g.marked)
         res = planarity(cg)
         if res.planar:

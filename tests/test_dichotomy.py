@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import random_tree
+from oracles import connected_graphs_on, random_tree
 from surfembed.core import (
     Graph,
     MarkedGraph,
@@ -16,6 +16,7 @@ from surfembed.core import (
 )
 from surfembed.dichotomy import (
     CombStructure,
+    _outerplanar,
     almost_outerplanar_dichotomy,
     classify,
     forest_contract_dichotomy,
@@ -27,8 +28,9 @@ from surfembed.dichotomy import (
     verify_comb,
 )
 from surfembed.decompose import verify_decomposition
-from surfembed.embeddings import planarity
+from surfembed.embeddings import RotationSystem, planarity
 from surfembed.minors import verify_model
+from surfembed.outerplanarity import NonPlanarInput, is_u_outerplanar
 from surfembed.patterns import aux_pattern, build_pattern, sigma
 
 
@@ -263,6 +265,15 @@ def test_outerplanar_witnesses():
     assert pid.kind in ("G1", "G2", "omegaK23")
     ok, errs = verify_model(g1, aux_pattern(pid.kind, pid.level), model)
     assert ok, errs
+
+
+def test_outerplanar_matches_full_marking():
+    for g in connected_graphs_on(6):
+        try:
+            want = isinstance(is_u_outerplanar(g, g.vertices), RotationSystem)
+        except NonPlanarInput:
+            want = False
+        assert _outerplanar(g) == want, sorted(g.edges)
 
 
 def test_planar_vertex_flaw_minimum():

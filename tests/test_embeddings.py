@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
+from networkx.algorithms.planarity import LRPlanarity
 
 from oracles import planar_by_subdivision, random_graph
 from surfembed.core import (
     Graph,
     complete_bipartite,
     complete_graph,
+    cone,
     cycle_graph,
     disjoint_union,
     identify_vertices,
@@ -20,6 +23,7 @@ from surfembed.embeddings import (
     genus_additivity,
     genus_of_rotation,
     handle_merge,
+    is_planar,
     min_genus,
     planarity,
     trace_faces,
@@ -248,3 +252,74 @@ def test_handle_merge_bound_holds():
     assert merged.genus_bound == 2
     # identified pairs collapse into single vertices
     assert merged.graph.n == 6
+
+
+def _grid(a: int, b: int) -> Graph:
+    edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    edges += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    return Graph(range(a * b), edges)
+
+
+@pytest.fixture()
+def lr_runs(monkeypatch):
+    """Counts the left-right planarity runs made while the test runs."""
+    runs = [0]
+    original = LRPlanarity.lr_planarity
+
+    def counted(self):
+        runs[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(LRPlanarity, "lr_planarity", counted)
+    return runs
+
+
+def test_planar_input_costs_one_lr_run(lr_runs):
+    for g in (complete_graph(4), _grid(25, 25)):
+        lr_runs[0] = 0
+        res = planarity(g)
+        assert res.planar and genus_of_rotation(g, res.rotation) == 0
+        assert lr_runs[0] == 1
+
+
+def test_witness_in_large_host_costs_few_lr_runs(lr_runs):
+    g = disjoint_union([_grid(16, 16), complete_graph(5)])
+    assert g.m == 490
+    res = planarity(g)
+    assert not res.planar
+    assert verify_kuratowski(g, res.witness) == []
+    assert lr_runs[0] <= 20
+
+
+def test_is_planar_makes_at_most_one_lr_run(lr_runs):
+    for g, want in ((complete_graph(4), True), (complete_graph(5), False),
+                    (complete_bipartite(3, 3), False), (_grid(10, 10), True),
+                    (disjoint_union([_grid(6, 6), complete_bipartite(3, 3)]), False)):
+        lr_runs[0] = 0
+        assert is_planar(g) is want
+        assert lr_runs[0] <= 1
+
+
+def test_planarity_modes_agree_on_small_graphs(graphs_le7):
+    for g in graphs_le7:
+        ng = nx.Graph(list(g.edges))
+        ng.add_nodes_from(g.vertices)
+        res = planarity(g)
+        assert is_planar(g) == nx.is_planar(ng) == res.planar, sorted(g.edges)
+        if res.planar:
+            assert genus_of_rotation(g, res.rotation) == 0
+        else:
+            assert verify_kuratowski(g, res.witness) == []
+
+
+def test_full_cone_witnesses_verify(graphs_le7):
+    for g in graphs_le7:
+        if len(g.components()) != 1:
+            continue
+        cg, _ = cone(g, g.vertices)
+        res = planarity(cg)
+        assert res.planar == is_planar(cg)
+        if res.planar:
+            assert genus_of_rotation(cg, res.rotation) == 0
+        else:
+            assert verify_kuratowski(cg, res.witness) == [], sorted(g.edges)

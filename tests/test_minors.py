@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from oracles import has_k4_minor, random_graph
@@ -141,6 +143,14 @@ def test_pack_disjoint_certifies_shortfall():
     res = pack_disjoint(cycle_graph(3), cycle_graph(3), 2)
     assert not res.complete and res.exhausted
     assert len(res.models) == 1
+
+
+def test_pack_disjoint_counting_bound():
+    # two disjoint K5 models need 10 vertices; K9 has 9
+    start = time.monotonic()
+    res = pack_disjoint(complete_graph(9), complete_graph(5), 2, timeout=5)
+    assert not res.complete and res.exhausted
+    assert time.monotonic() - start < 1.0
 
 
 def test_pack_bouquet_friendship():

@@ -14,7 +14,13 @@ from surfembed.core import (
     cycle_graph,
     path_graph,
 )
-from surfembed.embeddings import RotationSystem, genus_of_rotation, planarity, validate_rotation
+from surfembed.embeddings import (
+    RotationSystem,
+    genus_of_rotation,
+    planarity,
+    validate_rotation,
+    verify_kuratowski,
+)
 from surfembed.minors import verify_marked_model
 from surfembed.outerplanarity import (
     NonPlanarInput,
@@ -67,6 +73,14 @@ def test_nonplanar_input_raises_with_witness():
         is_u_outerplanar(complete_graph(5), [0])
     with pytest.raises(ValueError):
         is_u_outerplanar(cycle_graph(3), [7])
+
+
+def test_nonplanar_input_witness_verifies():
+    for g, kind in ((complete_graph(5), "K5"), (complete_bipartite(3, 3), "K33")):
+        with pytest.raises(NonPlanarInput) as err:
+            is_u_outerplanar(g, [0])
+        assert err.value.witness.kind == kind
+        assert verify_kuratowski(g, err.value.witness) == []
 
 
 def test_witness_xor_rotation_random(rng):
