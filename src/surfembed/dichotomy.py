@@ -29,7 +29,7 @@ from .core import (
 )
 from .decompose import Decomposition, decompose, genus_bound
 from .embeddings import BudgetExceeded, is_planar
-from .minors import MinorModel, pack_bouquet, pack_disjoint, verify_model
+from .minors import MinorModel, glue_models, pack_bouquet, pack_disjoint, verify_model
 from .outerplanarity import su_obstruction
 from .patterns import (
     PatternId,
@@ -470,17 +470,6 @@ def two_connected_structures(g: Graph, u: frozenset[int], n: int) -> CombStructu
 
 # --- witness assembly -------------------------------------------------
 
-def _assemble(maps: list[dict[int, int]], models: list[MinorModel]) -> MinorModel:
-    bsets: dict[int, set[int]] = {}
-    conn: dict[tuple[int, int], tuple[int, int]] = {}
-    for cm, mdl in zip(maps, models):
-        for b, bs in mdl.branch_sets.items():
-            bsets.setdefault(cm[b], set()).update(bs)
-        for (a, b), e in mdl.connect_edges.items():
-            conn[norm_edge(cm[a], cm[b])] = e
-    return MinorModel({p: frozenset(s) for p, s in bsets.items()}, conn)
-
-
 def _checked(g: Graph, pid: PatternId, model: MinorModel) -> Witness:
     pattern = build_pattern(pid)
     if isinstance(pattern, MarkedGraph):
@@ -494,7 +483,7 @@ def _pack_witness(g: Graph, kind: str, block: Graph, n: int) -> Witness | None:
     res = pack_disjoint(g, block, n)
     if not res.complete:
         return None
-    model = _assemble(aux_copies(kind, n), res.models)
+    model = glue_models(aux_copies(kind, n), res.models)
     return _checked(g, PatternId("aux", kind=kind, level=n), model)
 
 
@@ -504,7 +493,7 @@ def _bouquet_witness(
     res = pack_bouquet(g, block, hub, n)
     if not res.complete:
         return None
-    model = _assemble(aux_copies(kind, n), res.models)
+    model = glue_models(aux_copies(kind, n), res.models)
     return _checked(g, PatternId("aux", kind=kind, level=n), model)
 
 
@@ -513,7 +502,7 @@ def _sigma_pack_witness(g: Graph, i: int, block: Graph, n: int) -> Witness | Non
     if not res.complete:
         return None
     _, maps = sigma_copies(i, n)
-    model = _assemble(maps, res.models)
+    model = glue_models(maps, res.models)
     return _checked(g, PatternId("sigma", i, n), model)
 
 

@@ -4,9 +4,10 @@ A minor model assigns to every pattern vertex a branch set in the host:
 non-empty, pairwise disjoint, inducing a connected subgraph.  Every
 pattern edge is realized by a host edge running between the two branch
 sets.  The searches in this module are exhaustive backtracking over
-branch-set assignments; "absent" is only ever reported after the whole
-candidate space has been enumerated.  When a time budget runs out the
-result says so explicitly instead of masquerading as absence.
+branch-set assignments, one model per orbit under swapping the branch
+sets of twin pattern vertices; "absent" is only ever reported after the
+whole candidate space has been enumerated.  When a time budget runs out
+the result says so explicitly instead of masquerading as absence.
 
 The verifier shares no logic with the search.  It re-derives every
 invariant (disjointness, connectivity, edge realization) directly from
@@ -37,12 +38,6 @@ class MinorModel:
         for bs in self.branch_sets.values():
             out |= bs
         return frozenset(out)
-
-    def branch_of(self, host_vertex: int) -> int | None:
-        for pv, bs in self.branch_sets.items():
-            if host_vertex in bs:
-                return pv
-        return None
 
 
 @dataclass
@@ -188,14 +183,45 @@ def _connected_subsets(g, allowed, seeds, cap, ticker):
         yield from rec((seed,), start_frontier, set())
 
 
-def _seed_plan(allowed: set[int], root: int | None):
+def _seed_plan(allowed: set[int], root: int | None, above: int):
     if root is not None:
         if root not in allowed:
             return []
         return [(root, frozenset(allowed))]
     # seed = smallest id of the subset; later vertices must be larger
     order = sorted(allowed)
-    return [(v, frozenset(u for u in order if u > v)) for v in order]
+    return [(v, frozenset(u for u in order if u > v)) for v in order if v > above]
+
+
+def _twin_predecessors(
+    h: Graph, order: list[int], h_marked: frozenset[int], roots: dict[int, int]
+) -> dict[int, int]:
+    """Map each pattern vertex to the twin placed just before it.
+
+    p and q are twins when N(p) - {q} = N(q) - {p}, both or neither are
+    marked and neither is rooted.  Swapping the branch sets of twins maps
+    a model to a model with the same support, so requiring min(branch
+    set) to increase along each twin class, in placement order, keeps one
+    model per orbit.  A vertex joins a class only if it is a twin of every
+    member.
+    """
+
+    def twins(p: int, q: int) -> bool:
+        return (p in h_marked) == (q in h_marked) and (
+            set(h.neighbors(p)) - {q} == set(h.neighbors(q)) - {p}
+        )
+
+    classes: list[list[int]] = []
+    for p in order:
+        if p in roots:
+            continue
+        for cls in classes:
+            if all(twins(p, q) for q in cls):
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return {cls[i]: cls[i - 1] for cls in classes for i in range(1, len(cls))}
 
 
 def _resolve_connectors(g: Graph, h: Graph, assignment: dict[int, frozenset[int]]):
@@ -225,11 +251,13 @@ def _model_stream(
     through: int | None = None,
     deadline: float | None = None,
 ):
-    """Yield every minor model of h in g, marked constraints included.
+    """Yield every minor model of h in g, marked constraints included, up
+    to swapping the branch sets of twin pattern vertices.
 
     roots pins a pattern vertex's branch set to contain a given host
     vertex.  through restricts to models whose support uses that host
-    vertex.  Exhaustion of this generator certifies absence.
+    vertex.  A twin swap keeps the support, the marks and the roots, so
+    exhaustion of this generator still certifies absence.
     """
     roots = roots or {}
     if set(h.vertices) and not g.vertices:
@@ -249,6 +277,7 @@ def _model_stream(
         h.vertices, key=lambda p: (p not in roots, -h.degree(p), p)
     )
     nbrs = {p: [q for q in h.neighbors(p)] for p in h.vertices}
+    twin_before = _twin_predecessors(h, order, h_marked, roots)
     edge_budget = g.m - h.m
 
     def place(idx: int, avail: set[int], placed: dict[int, frozenset[int]], spent: int):
@@ -270,7 +299,9 @@ def _model_stream(
         placed_nbrs = [placed[q] for q in nbrs[p] if q in placed]
         unplaced_deg = sum(1 for q in nbrs[p] if q not in placed)
         need_mark = p in h_marked
-        for cand in _connected_subsets(g, avail, _seed_plan(avail, roots.get(p)), cap, ticker):
+        above = min(placed[twin_before[p]]) if p in twin_before else -1
+        seeds = _seed_plan(avail, roots.get(p), above)
+        for cand in _connected_subsets(g, avail, seeds, cap, ticker):
             if need_mark and not (cand & g_marked):
                 continue
             hit_all = True
@@ -395,7 +426,14 @@ def pack_bouquet(
     timeout: float | None = None,
 ) -> PackResult:
     """Find n models of h whose supports pairwise meet in exactly one
-    common host vertex, lying in every model's hub branch set."""
+    common host vertex, lying in every model's hub branch set.
+
+    Searched like pack_disjoint, hub vertex by hub vertex.  k more copies
+    through the hub vertex z share no edge and no vertex but z, so they
+    need k*(|V(h)| - 1) + 1 host vertices and k*|E(h)| host edges; below
+    a level where they do not fit, the partial bouquet is only extended
+    greedily.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if hub not in h.vertices:
@@ -410,12 +448,15 @@ def pack_bouquet(
             best, best_hub = list(acc), z
         if k == 0:
             return list(acc)
+        if h.n > host.n or h.m > host.m:
+            return None
+        fits = k * (h.n - 1) + 1 <= host.n and k * h.m <= host.m
         for bsets, connectors in _model_stream(
             host, h, roots={hub: z}, deadline=deadline
         ):
             m = MinorModel(bsets, connectors)
             rest = recurse(k - 1, host.remove_vertices(m.support() - {z}), z, acc + [m])
-            if rest is not None:
+            if rest is not None or not fits:
                 return rest
         return None
 
@@ -428,6 +469,30 @@ def pack_bouquet(
     except SearchTimeout:
         return PackResult(best, complete=False, exhausted=False, hub_vertex=best_hub)
     return PackResult(best, complete=False, exhausted=True, hub_vertex=best_hub)
+
+
+def glue_models(
+    copy_maps: list[dict[int, int]],
+    models: list[MinorModel],
+    host_marked: frozenset[int] | None = None,
+) -> MinorModel:
+    """Assemble per-copy models into one model of the glued pattern.
+
+    copy_maps[i] sends the vertices of copy i to pattern vertices; branch
+    sets landing on the same pattern vertex merge.  Given the host
+    marking, the result is a MarkedMinorModel carrying it.
+    """
+    bsets: dict[int, set[int]] = {}
+    conn: dict[Edge, Edge] = {}
+    for cm, mdl in zip(copy_maps, models):
+        for b, bs in mdl.branch_sets.items():
+            bsets.setdefault(cm[b], set()).update(bs)
+        for (a, b), e in mdl.connect_edges.items():
+            conn[norm_edge(cm[a], cm[b])] = e
+    glued = {p: frozenset(s) for p, s in bsets.items()}
+    if host_marked is None:
+        return MinorModel(glued, conn)
+    return MarkedMinorModel(glued, conn, host_marked)
 
 
 def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:

@@ -35,6 +35,7 @@ from .minors import (
     MarkedMinorModel,
     SearchTimeout,
     find_marked_minor,
+    glue_models,
     verify_marked_model,
 )
 from .patterns import (
@@ -344,27 +345,8 @@ def _bouquet_at(
             k = k.remove_vertices(r.model.support() - {x})
         if len(models) == n:
             pid = PatternId("uprime" if primed else "u", i, n)
-            return pid, _glue_models(u_copies(i, primed, n)[1], models, g.marked)
+            return pid, glue_models(u_copies(i, primed, n)[1], models, g.marked)
     return None
-
-
-def _glue_models(
-    copy_maps: list[dict[int, int]],
-    models: list[MarkedMinorModel],
-    host_marked: frozenset[int],
-) -> MarkedMinorModel:
-    """Assemble per-copy theta models into one pattern model using the
-    copy maps; branch sets landing on the same pattern vertex merge."""
-    bsets: dict[int, set[int]] = {}
-    conn: dict[tuple[int, int], tuple[int, int]] = {}
-    for cm, mdl in zip(copy_maps, models):
-        for b, bs in mdl.branch_sets.items():
-            bsets.setdefault(cm[b], set()).update(bs)
-        for (a, b), e in mdl.connect_edges.items():
-            conn[norm_edge(cm[a], cm[b])] = e
-    return MarkedMinorModel(
-        {p: frozenset(s) for p, s in bsets.items()}, conn, host_marked
-    )
 
 
 def _free_theta(g: MarkedGraph, deadline: float | None) -> ThetaWitness | None:
@@ -464,7 +446,7 @@ def su_obstruction(
                 i, models = pack
                 return witness(
                     PatternId("omega-theta", i, n),
-                    _glue_models(omega_theta_copies(i, n), models, g.marked),
+                    glue_models(omega_theta_copies(i, n), models, g.marked),
                 )
             crits = [
                 x

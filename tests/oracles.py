@@ -163,3 +163,78 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def random_tree(rng: random.Random, n: int) -> Graph:
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     return Graph(range(n), edges)
+
+
+def _parts(vertices: list[int], k: int):
+    """Every family of k disjoint non-empty parts of vertices, once each.
+
+    Vertices go in order to the deleted pile, to a part already open, or
+    to a new part, so parts come out ordered by their smallest vertex.
+    """
+    parts: list[list[int]] = []
+
+    def rec(i: int):
+        if k - len(parts) > len(vertices) - i:
+            return
+        if i == len(vertices):
+            yield [frozenset(p) for p in parts]
+            return
+        v = vertices[i]
+        yield from rec(i + 1)
+        for p in parts:
+            p.append(v)
+            yield from rec(i + 1)
+            p.pop()
+        if len(parts) < k:
+            parts.append([v])
+            yield from rec(i + 1)
+            parts.pop()
+
+    return rec(0)
+
+
+def _connected_part(adj, part) -> bool:
+    start = next(iter(part))
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in part and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(part)
+
+
+def has_minor_by_partition(
+    g: Graph,
+    h: Graph,
+    g_marked=frozenset(),
+    h_marked=frozenset(),
+    roots=None,
+) -> bool:
+    """Minor containment straight from the definition.
+
+    Tries every family of |V(h)| disjoint connected vertex sets of g and
+    every bijection onto V(h): each pattern edge needs a host edge between
+    its two sets, each marked pattern vertex a marked host vertex in its
+    set, each rooted pattern vertex its root in its set.
+    """
+    roots = roots or {}
+    adj = _adj(g)
+    hv = sorted(h.vertices)
+    for parts in _parts(sorted(g.vertices), len(hv)):
+        if not all(_connected_part(adj, p) for p in parts):
+            continue
+        k = len(parts)
+        touch = {
+            (i, j)
+            for i in range(k)
+            for j in range(k)
+            if i != j and any(w in parts[j] for v in parts[i] for w in adj[v])
+        }
+        for perm in itertools.permutations(range(k)):
+            at = dict(zip(hv, perm))
+            if all((at[a], at[b]) in touch for a, b in h.edges) and all(
+                parts[at[p]] & g_marked for p in h_marked
+            ) and all(v in parts[at[p]] for p, v in roots.items()):
+                return True
+    return False

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import time
 
+import networkx as nx
 import pytest
 
-from oracles import has_k4_minor, random_graph
+import surfembed.minors as minors
+from oracles import connected_graphs_on, has_k4_minor, has_minor_by_partition, random_graph
 from surfembed.core import (
     Graph,
     MarkedGraph,
@@ -170,6 +172,102 @@ def test_pack_bouquet_friendship():
 def test_pack_bouquet_impossible_on_path():
     res = pack_bouquet(path_graph(5), cycle_graph(3), hub=0, n=1)
     assert not res.complete and res.exhausted
+
+
+def test_pack_bouquet_counting_bound(monkeypatch):
+    # two K4 copies through one hub need 2*3 + 1 = 7 vertices; K6 has 6,
+    # so each hub candidate is settled by one greedy chain of streams
+    calls = [0]
+    stream = minors._model_stream
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "_model_stream", counted)
+    res = pack_bouquet(complete_graph(6), complete_graph(4), hub=0, n=2)
+    assert not res.complete and res.exhausted
+    assert len(res.models) == 1
+    assert calls[0] <= 2 * 6
+
+
+def test_model_stream_one_model_per_twin_orbit():
+    k5, k33 = complete_graph(5), complete_bipartite(3, 3)
+    assert sum(1 for _ in minors._model_stream(k5, k5)) == 1
+    # the swap of the two sides is not a twin swap
+    assert sum(1 for _ in minors._model_stream(k33, k33)) == 2
+
+
+def test_icosahedron_has_no_k5_minor():
+    ico = nx.icosahedral_graph()
+    res = find_minor(Graph(ico.nodes, ico.edges), complete_graph(5), timeout=120)
+    assert res.status == "absent"
+
+
+# patterns rich in twins: every vertex of K3 and K4, the leaves of K1,3,
+# the opposite corners of C4 and both sides of K2,3
+TWIN_PATTERNS = {
+    "K3": complete_graph(3),
+    "K4": complete_graph(4),
+    "K13": complete_bipartite(1, 3),
+    "C4": cycle_graph(4),
+    "K23": complete_bipartite(2, 3),
+}
+SMALL_HOSTS = [g for n in range(1, 7) for g in connected_graphs_on(n)]
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_PATTERNS))
+def test_find_minor_matches_partition_oracle(name):
+    h = TWIN_PATTERNS[name]
+    for g in SMALL_HOSTS:
+        res = find_minor(g, h)
+        assert res.found == has_minor_by_partition(g, h), (name, sorted(g.edges))
+        if res.found:
+            ok, errs = verify_model(g, h, res.model)
+            assert ok, errs
+
+
+# twins that differ only in their mark fall into different classes
+MARKED_TWIN_PATTERNS = [
+    ("K3", frozenset({0, 1})),
+    ("K4", frozenset({0, 1})),
+    ("K13", frozenset({1})),
+    ("C4", frozenset({0})),
+    ("K23", frozenset({2})),
+]
+
+
+@pytest.mark.parametrize("name, h_marked", MARKED_TWIN_PATTERNS)
+def test_find_marked_minor_matches_partition_oracle(name, h_marked):
+    h = MarkedGraph(TWIN_PATTERNS[name], h_marked)
+    for g in SMALL_HOSTS:
+        vs = g.sorted_vertices()
+        for g_marked in ({vs[0]}, set(vs[::2]), set(vs[1::2])):
+            host = MarkedGraph(g, frozenset(g_marked))
+            res = find_marked_minor(host, h)
+            expect = has_minor_by_partition(g, h.graph, host.marked, h_marked)
+            assert res.found == expect, (name, sorted(g.edges), sorted(g_marked))
+            if res.found:
+                ok, errs = verify_marked_model(host, h, res.model)
+                assert ok, errs
+
+
+# a rooted pattern vertex leaves its twin class; the rest stay twins
+ROOTED_TWIN_PATTERNS = [("K3", 0), ("K4", 0), ("K13", 1), ("C4", 0), ("K23", 0), ("K23", 2)]
+
+
+@pytest.mark.parametrize("name, pinned", ROOTED_TWIN_PATTERNS)
+def test_rooted_find_minor_matches_partition_oracle(name, pinned):
+    h = TWIN_PATTERNS[name]
+    for g in SMALL_HOSTS:
+        for v in g.sorted_vertices():
+            res = find_minor(g, h, roots={pinned: v})
+            expect = has_minor_by_partition(g, h, roots={pinned: v})
+            assert res.found == expect, (name, sorted(g.edges), v)
+            if res.found:
+                ok, errs = verify_model(g, h, res.model)
+                assert ok, errs
+                assert v in res.model.branch_sets[pinned]
 
 
 def test_compose_models():
