@@ -193,7 +193,7 @@ def _cmd_su_obstruct(args) -> int:
         payload["detail"] = res.detail
     human = [res.status + (f": {res.kind.label()}" if res.kind else "")]
     _emit(args, payload, human)
-    return 2 if res.status == "exhausted" else 0
+    return 2 if res.status in ("exhausted", "timeout") else 0
 
 
 def _cmd_decompose(args) -> int:

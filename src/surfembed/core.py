@@ -68,9 +68,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self.vertices
-
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -139,22 +136,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
-
-    def is_connected_subset(self, vs: Iterable[int]) -> bool:
-        """True if the given vertices induce a connected (non-empty) subgraph."""
-        vs = set(vs)
-        if not vs:
-            return False
-        start = min(vs)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y in vs and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen == vs
 
     def cycle_rank(self) -> int:
         return self.m - self.n + len(self.components())

@@ -20,8 +20,6 @@ from .core import (
     Graph,
     MarkedGraph,
     PathSystem,
-    complete_bipartite,
-    complete_graph,
     cone,
     contract,
     max_disjoint_paths,
@@ -30,13 +28,14 @@ from .core import (
 from .decompose import Decomposition, decompose, genus_bound
 from .embeddings import BudgetExceeded, is_planar
 from .minors import MinorModel, glue_models, pack_bouquet, pack_disjoint, verify_model
-from .outerplanarity import su_obstruction
+from .outerplanarity import su_obstruction, u_star_search
 from .patterns import (
     PatternId,
+    aux_block,
     aux_copies,
-    aux_pattern,
     build_pattern,
     convert_to_sigma,
+    sigma,
     sigma_copies,
 )
 
@@ -208,12 +207,7 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
 
 def _star_paths(g: Graph, v: int, u: frozenset[int]) -> list[tuple[int, ...]]:
     """Paths from v to u, pairwise meeting exactly at v, maximal count."""
-    targets = u - {v}
-    nbrs = g.neighbors(v)
-    if not targets or not nbrs:
-        return []
-    sys = max_disjoint_paths(g.remove_vertices([v]), nbrs, targets)
-    return [(v,) + p for p in sys.paths]
+    return [(v,) + p for p in u_star_search(MarkedGraph(g, u), v, 1).paths]
 
 
 def _bfs_tree(g: Graph, comp: frozenset[int]) -> dict[int, list[int]]:
@@ -479,31 +473,24 @@ def _checked(g: Graph, pid: PatternId, model: MinorModel) -> Witness:
     return pid, model
 
 
-def _pack_witness(g: Graph, kind: str, block: Graph, n: int) -> Witness | None:
-    res = pack_disjoint(g, block, n)
+def _pack_witness(g: Graph, pid: PatternId) -> Witness | None:
+    """Pack pid.level copies of the pattern's block, disjoint or through
+    its glue vertex, and glue them into a model of the pattern.  Covers
+    the aux packings and the sigma families sharing at most one vertex."""
+    if pid.family == "sigma":
+        block = sigma(pid.index, 1)
+        shared, maps = sigma_copies(pid.index, pid.level)
+        hub = shared[0] if shared else None
+    else:
+        block, hub = aux_block(pid.kind)
+        maps = aux_copies(pid.kind, pid.level)
+    if hub is None:
+        res = pack_disjoint(g, block, pid.level)
+    else:
+        res = pack_bouquet(g, block, hub, pid.level)
     if not res.complete:
         return None
-    model = glue_models(aux_copies(kind, n), res.models)
-    return _checked(g, PatternId("aux", kind=kind, level=n), model)
-
-
-def _bouquet_witness(
-    g: Graph, kind: str, block: Graph, hub: int, n: int
-) -> Witness | None:
-    res = pack_bouquet(g, block, hub, n)
-    if not res.complete:
-        return None
-    model = glue_models(aux_copies(kind, n), res.models)
-    return _checked(g, PatternId("aux", kind=kind, level=n), model)
-
-
-def _sigma_pack_witness(g: Graph, i: int, block: Graph, n: int) -> Witness | None:
-    res = pack_disjoint(g, block, n)
-    if not res.complete:
-        return None
-    _, maps = sigma_copies(i, n)
-    model = glue_models(maps, res.models)
-    return _checked(g, PatternId("sigma", i, n), model)
+    return _checked(g, pid, glue_models(maps, res.models))
 
 
 def _k2n_witness(g: Graph, n: int) -> Witness | None:
@@ -563,8 +550,8 @@ def forest_edge_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
         return DichotomyOutcome("flaw-set", flaw=flaw)
     found = _first_witness(
         [
-            lambda: _pack_witness(g, "omegaK3", complete_graph(3), n),
-            lambda: _bouquet_witness(g, "veeK3", complete_graph(3), 0, n),
+            lambda: _pack_witness(g, PatternId("aux", kind="omegaK3", level=n)),
+            lambda: _pack_witness(g, PatternId("aux", kind="veeK3", level=n)),
             lambda: _k2n_witness(g, n),
         ]
     )
@@ -587,8 +574,8 @@ def forest_contract_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
                 return DichotomyOutcome("flaw-set", flaw=frozenset(fs))
     found = _first_witness(
         [
-            lambda: _pack_witness(g, "omegaK3", complete_graph(3), n),
-            lambda: _bouquet_witness(g, "veeK3", complete_graph(3), 0, n),
+            lambda: _pack_witness(g, PatternId("aux", kind="omegaK3", level=n)),
+            lambda: _pack_witness(g, PatternId("aux", kind="veeK3", level=n)),
         ]
     )
     if found is not None:
@@ -612,15 +599,13 @@ def almost_outerplanar_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
         for fs in itertools.combinations(edges, size):
             if _outerplanar(g.remove_edges(fs)):
                 return DichotomyOutcome("flaw-set", flaw=frozenset(fs))
-    k4 = complete_graph(4)
-    k23 = complete_bipartite(2, 3)
     found = _first_witness(
         [
-            lambda: _pack_witness(g, "omegaK4", k4, n),
-            lambda: _pack_witness(g, "omegaK23", k23, n),
-            lambda: _bouquet_witness(g, "veeK4", k4, 0, n),
-            lambda: _bouquet_witness(g, "G1", k23, 0, n),
-            lambda: _bouquet_witness(g, "G2", k23, 2, n),
+            lambda: _pack_witness(g, PatternId("aux", kind="omegaK4", level=n)),
+            lambda: _pack_witness(g, PatternId("aux", kind="omegaK23", level=n)),
+            lambda: _pack_witness(g, PatternId("aux", kind="veeK4", level=n)),
+            lambda: _pack_witness(g, PatternId("aux", kind="G1", level=n)),
+            lambda: _pack_witness(g, PatternId("aux", kind="G2", level=n)),
             lambda: _k2n_witness(g, n),
         ]
     )
@@ -643,8 +628,8 @@ def planar_vertex_flaws(g: Graph, n: int, k: int) -> DichotomyOutcome:
                 return DichotomyOutcome("flaw-set", flaw=frozenset(w))
     found = _first_witness(
         [
-            lambda: _sigma_pack_witness(g, 1, complete_graph(5), n),
-            lambda: _sigma_pack_witness(g, 2, complete_bipartite(3, 3), n),
+            lambda: _pack_witness(g, PatternId("sigma", 1, n)),
+            lambda: _pack_witness(g, PatternId("sigma", 2, n)),
         ]
     )
     if found is not None:

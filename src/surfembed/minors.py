@@ -320,6 +320,16 @@ def _model_stream(
     yield from place(0, set(g.vertices), {}, 0)
 
 
+def _first_model(stream, wrap) -> MinorResult:
+    """The first model of a _model_stream, wrapped, as a MinorResult."""
+    try:
+        for bsets, connectors in stream:
+            return MinorResult("found", wrap(bsets, connectors))
+    except SearchTimeout:
+        return MinorResult("timeout")
+    return MinorResult("absent")
+
+
 def find_minor(
     g: Graph,
     h: Graph,
@@ -333,14 +343,8 @@ def find_minor(
     the space, or timeout.  roots/through narrow the search as described
     in _model_stream.
     """
-    try:
-        for bsets, connectors in _model_stream(
-            g, h, roots=roots, through=through, deadline=_deadline(timeout)
-        ):
-            return MinorResult("found", MinorModel(bsets, connectors))
-    except SearchTimeout:
-        return MinorResult("timeout")
-    return MinorResult("absent")
+    stream = _model_stream(g, h, roots=roots, through=through, deadline=_deadline(timeout))
+    return _first_model(stream, MinorModel)
 
 
 def find_marked_minor(
@@ -352,20 +356,83 @@ def find_marked_minor(
 ) -> MinorResult:
     """Marked variant: marked pattern vertices must capture marked host
     vertices."""
-    try:
+    stream = _model_stream(
+        g.graph,
+        h.graph,
+        g_marked=g.marked,
+        h_marked=h.marked,
+        roots=roots,
+        through=through,
+        deadline=_deadline(timeout),
+    )
+    return _first_model(stream, lambda bsets, conn: MarkedMinorModel(bsets, conn, g.marked))
+
+
+def _pack(
+    g: Graph,
+    h: Graph,
+    n: int,
+    timeout: float | None,
+    hub: int | None,
+    g_marked: frozenset[int],
+    h_marked: frozenset[int],
+) -> PackResult:
+    """Find n models of h in g whose supports are pairwise disjoint
+    (hub None) or pairwise meet in one host vertex z lying in every
+    model's hub branch set, tried hub vertex by hub vertex.
+
+    Greedy first: the recursion takes the first model it sees and moves
+    on, falling back to the next candidate only when the remainder fails.
+    An incomplete result with exhausted=True certifies that no packing of
+    n copies exists.  k more copies sharing `shared` vertices (none, or z)
+    and no edge need k*(|V(h)| - shared) + shared host vertices and
+    k*|E(h)| host edges.  Below a level where they do not fit by count,
+    the partial packing is only extended greedily; when they do not fit at
+    the top level, which does not depend on z, only the first hub vertex
+    is tried.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    deadline = _deadline(timeout)
+    shared = 0 if hub is None else 1
+    best: list[MinorModel] = []
+    best_hub: int | None = None
+
+    def fits(k: int, host: Graph) -> bool:
+        return k * (h.n - shared) + shared <= host.n and k * h.m <= host.m
+
+    def recurse(k: int, host: Graph, z: int | None, acc: list[MinorModel]):
+        nonlocal best, best_hub
+        if len(acc) > len(best):
+            best, best_hub = list(acc), z
+        if k == 0:
+            return list(acc)
+        if h.n > host.n or h.m > host.m:
+            return None
+        backtrack = fits(k, host)
+        roots = None if z is None else {hub: z}
         for bsets, connectors in _model_stream(
-            g.graph,
-            h.graph,
-            g_marked=g.marked,
-            h_marked=h.marked,
-            roots=roots,
-            through=through,
-            deadline=_deadline(timeout),
+            host, h, g_marked=g_marked, h_marked=h_marked, roots=roots, deadline=deadline
         ):
-            return MinorResult("found", MarkedMinorModel(bsets, connectors, g.marked))
+            m = MinorModel(bsets, connectors)
+            rest = recurse(k - 1, host.remove_vertices(m.support() - {z}), z, acc + [m])
+            if rest is not None or not backtrack:
+                return rest
+        return None
+
+    hubs: list[int | None] = [None]
+    if hub is not None:
+        hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+        if not fits(n, g):
+            hubs = hubs[:1]
+    try:
+        for z in hubs:
+            got = recurse(n, g, z, [])
+            if got is not None:
+                return PackResult(got, complete=True, exhausted=True, hub_vertex=z)
     except SearchTimeout:
-        return MinorResult("timeout")
-    return MinorResult("absent")
+        return PackResult(best, complete=False, exhausted=False, hub_vertex=best_hub)
+    return PackResult(best, complete=False, exhausted=True, hub_vertex=best_hub)
 
 
 def pack_disjoint(
@@ -376,46 +443,8 @@ def pack_disjoint(
     g_marked: frozenset[int] = frozenset(),
     h_marked: frozenset[int] = frozenset(),
 ) -> PackResult:
-    """Find n models of h in g with pairwise disjoint supports.
-
-    Greedy first: the recursion takes the first model it sees and moves
-    on, falling back to the next candidate only when the remainder fails.
-    An incomplete result with exhausted=True certifies that no n-packing
-    exists.  Models with disjoint supports use disjoint vertices and
-    edges, so when k more copies of h do not fit into what is left of the
-    host by count alone, no backtracking is needed below that level: the
-    partial packing is only extended greedily.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    deadline = _deadline(timeout)
-    best: list[MinorModel] = []
-
-    def recurse(k: int, host: Graph, acc: list[MinorModel]):
-        nonlocal best
-        if len(acc) > len(best):
-            best = list(acc)
-        if k == 0:
-            return list(acc)
-        if h.n > host.n or h.m > host.m:
-            return None
-        fits = k * h.n <= host.n and k * h.m <= host.m
-        for bsets, connectors in _model_stream(
-            host, h, g_marked=g_marked, h_marked=h_marked, deadline=deadline
-        ):
-            m = MinorModel(bsets, connectors)
-            rest = recurse(k - 1, host.remove_vertices(m.support()), acc + [m])
-            if rest is not None or not fits:
-                return rest
-        return None
-
-    try:
-        got = recurse(n, g, [])
-    except SearchTimeout:
-        return PackResult(best, complete=False, exhausted=False)
-    if got is not None:
-        return PackResult(got, complete=True, exhausted=True)
-    return PackResult(best, complete=False, exhausted=True)
+    """Find n models of h in g with pairwise disjoint supports; see _pack."""
+    return _pack(g, h, n, timeout, None, g_marked, h_marked)
 
 
 def pack_bouquet(
@@ -426,49 +455,10 @@ def pack_bouquet(
     timeout: float | None = None,
 ) -> PackResult:
     """Find n models of h whose supports pairwise meet in exactly one
-    common host vertex, lying in every model's hub branch set.
-
-    Searched like pack_disjoint, hub vertex by hub vertex.  k more copies
-    through the hub vertex z share no edge and no vertex but z, so they
-    need k*(|V(h)| - 1) + 1 host vertices and k*|E(h)| host edges; below
-    a level where they do not fit, the partial bouquet is only extended
-    greedily.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    common host vertex, lying in every model's hub branch set; see _pack."""
     if hub not in h.vertices:
         raise ValueError(f"hub {hub} is not a pattern vertex")
-    deadline = _deadline(timeout)
-    best: list[MinorModel] = []
-    best_hub: int | None = None
-
-    def recurse(k: int, host: Graph, z: int, acc: list[MinorModel]):
-        nonlocal best, best_hub
-        if len(acc) > len(best):
-            best, best_hub = list(acc), z
-        if k == 0:
-            return list(acc)
-        if h.n > host.n or h.m > host.m:
-            return None
-        fits = k * (h.n - 1) + 1 <= host.n and k * h.m <= host.m
-        for bsets, connectors in _model_stream(
-            host, h, roots={hub: z}, deadline=deadline
-        ):
-            m = MinorModel(bsets, connectors)
-            rest = recurse(k - 1, host.remove_vertices(m.support() - {z}), z, acc + [m])
-            if rest is not None or not fits:
-                return rest
-        return None
-
-    candidates = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    try:
-        for z in candidates:
-            got = recurse(n, g, z, [])
-            if got is not None:
-                return PackResult(got, complete=True, exhausted=True, hub_vertex=z)
-    except SearchTimeout:
-        return PackResult(best, complete=False, exhausted=False, hub_vertex=best_hub)
-    return PackResult(best, complete=False, exhausted=True, hub_vertex=best_hub)
+    return _pack(g, h, n, timeout, hub, frozenset(), frozenset())
 
 
 def glue_models(

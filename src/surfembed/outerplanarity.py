@@ -106,7 +106,8 @@ class SuResult:
     status "witness": kind/model name a verified marked pattern at the
     requested level.  status "certificate": after removing the recorded
     supports the residue cones within the genus budget.  status
-    "exhausted": the search gave out; nothing is certified."""
+    "exhausted": every stage ran but found no pattern; status "timeout":
+    the deadline passed first.  Neither certifies anything."""
 
     status: str
     kind: PatternId | None = None
@@ -311,9 +312,13 @@ _TARGETS = ((1, False), (2, False), (3, False), (4, False), (2, True), (3, True)
 
 
 def _remaining(deadline: float | None) -> float | None:
+    """Time left before the deadline; raises SearchTimeout once none is."""
     if deadline is None:
         return None
-    return max(deadline - time.monotonic(), 0.01)
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise SearchTimeout
+    return left
 
 
 def _bouquet_at(
@@ -479,8 +484,8 @@ def su_obstruction(
             marks = marks & h.vertices
     except SearchTimeout:
         return SuResult(
-            "exhausted",
+            "timeout",
             residue=h.vertices,
             removed=tuple(removed),
-            detail="search budget exhausted",
+            detail="search deadline passed",
         )

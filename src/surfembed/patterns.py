@@ -203,17 +203,23 @@ _AUX_BLOCKS: dict[str, tuple[Graph, int | None]] = {
 }
 
 
+def aux_block(kind: str) -> tuple[Graph, int | None]:
+    """Block graph and glue vertex (None for a disjoint family) of an
+    auxiliary family built from copies; K2w is built directly."""
+    if kind not in _AUX_BLOCKS:
+        raise ValueError(f"no copy layout for aux kind {kind!r}")
+    return _AUX_BLOCKS[kind]
+
+
 def aux_copies(kind: str, n: int) -> list[dict[int, int]]:
     """Per-copy vertex maps matching aux_pattern's layout.
 
     The glue vertex keeps its base id in every copy; private vertices of
-    copy j move to j*size + b.  K2w is built directly, not from copies.
+    copy j move to j*size + b.
     """
-    if kind not in _AUX_BLOCKS:
-        raise ValueError(f"no copy layout for aux kind {kind!r}")
+    base, hub = aux_block(kind)
     if n < 1:
         raise ValueError("level must be >= 1")
-    base, hub = _AUX_BLOCKS[kind]
     size = base.n
     maps = []
     for j in range(n):
@@ -231,9 +237,7 @@ def aux_pattern(kind: str, n: int) -> Graph:
         raise ValueError("level must be >= 1")
     if kind == "K2w":
         return complete_bipartite(2, n)
-    if kind not in _AUX_BLOCKS:
-        raise ValueError(f"unknown aux kind {kind!r}")
-    base, _ = _AUX_BLOCKS[kind]
+    base, _ = aux_block(kind)
     edges = []
     for m in aux_copies(kind, n):
         edges += [(m[u], m[v]) for u, v in base.edges]

@@ -226,6 +226,15 @@ def test_cli_su_obstruct_round_trip(tmp_path, capsys):
     assert main(["verify", "marked-minor", "--graph", host, "--witness", wfile]) == 0
 
 
+def test_cli_su_obstruct_timeout_exits_2(tmp_path, capsys):
+    from surfembed.patterns import u_pattern
+
+    host = _write(tmp_path, "u3.txt", format_edge_list(u_pattern(3, False, 3)))
+    args = ["su-obstruct", "--json", "--budget", "1", "-n", "3", "--timeout", "0.2", host]
+    assert main(args) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "timeout"
+
+
 def test_cli_decompose_and_verify(tmp_path, capsys):
     assert main(["decompose", "--json", "--budget", "1", _k5(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)

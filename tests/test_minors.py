@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import networkx as nx
@@ -191,6 +192,22 @@ def test_pack_bouquet_counting_bound(monkeypatch):
     assert calls[0] <= 2 * 6
 
 
+def test_pack_bouquet_hub_independent_bound(monkeypatch):
+    # the top-level bound does not depend on the hub vertex, so only the
+    # first hub candidate is tried
+    calls = [0]
+    stream = minors._model_stream
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "_model_stream", counted)
+    res = pack_bouquet(complete_graph(6), complete_graph(4), hub=0, n=2)
+    assert not res.complete and res.exhausted
+    assert calls[0] <= 2
+
+
 def test_model_stream_one_model_per_twin_orbit():
     k5, k33 = complete_graph(5), complete_bipartite(3, 3)
     assert sum(1 for _ in minors._model_stream(k5, k5)) == 1
@@ -268,6 +285,51 @@ def test_rooted_find_minor_matches_partition_oracle(name, pinned):
                 ok, errs = verify_model(g, h, res.model)
                 assert ok, errs
                 assert v in res.model.branch_sets[pinned]
+
+
+def _subsets(vs, lo, hi):
+    return [frozenset(c) for r in range(lo, hi + 1) for c in itertools.combinations(vs, r)]
+
+
+def _check_packing(g, h, res, hub=None):
+    supports = [m.support() for m in res.models]
+    for m in res.models:
+        ok, errs = verify_model(g, h, m)
+        assert ok, errs
+    for a, b in itertools.combinations(supports, 2):
+        assert a & b == (set() if hub is None else {res.hub_vertex})
+    if hub is not None and res.models:
+        assert all(res.hub_vertex in m.branch_sets[hub] for m in res.models)
+
+
+@pytest.mark.parametrize("name", ["K3", "K13"])
+def test_packing_matches_partition_oracle(name):
+    h = TWIN_PATTERNS[name]
+    for g in SMALL_HOSTS:
+        # each of two copies needs |V(h)| vertices, sharing at most one
+        sets = _subsets(g.sorted_vertices(), h.n, g.n - h.n)
+        holds = {s: has_minor_by_partition(g.subgraph(s), h) for s in sets}
+        expect = any(holds[a] and holds[b] for a in sets for b in sets if not a & b)
+        res = pack_disjoint(g, h, 2)
+        assert res.exhausted and res.complete == expect, (name, sorted(g.edges))
+        _check_packing(g, h, res)
+        sets = _subsets(g.sorted_vertices(), h.n, g.n - h.n + 1)
+        for hub in h.sorted_vertices():
+            rooted = {
+                (s, z): has_minor_by_partition(g.subgraph(s), h, roots={hub: z})
+                for s in sets
+                for z in s
+            }
+            expect = any(
+                rooted[a, z] and rooted[b, z]
+                for a in sets
+                for b in sets
+                if len(a & b) == 1
+                for z in a & b
+            )
+            res = pack_bouquet(g, h, hub, 2)
+            assert res.exhausted and res.complete == expect, (name, hub, sorted(g.edges))
+            _check_packing(g, h, res, hub)
 
 
 def test_compose_models():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import surfembed.outerplanarity as outerplanarity
 from oracles import has_k4_minor, has_k23_minor, random_graph
 from surfembed.core import (
     Graph,
@@ -31,7 +32,7 @@ from surfembed.outerplanarity import (
     su_obstruction,
     u_star_search,
 )
-from surfembed.patterns import PatternId, build_pattern, sigma, theta, u_pattern
+from surfembed.patterns import PatternId, build_pattern, omega_theta, sigma, theta, u_pattern
 
 
 def test_cycle_fully_marked_is_outerplanar():
@@ -227,3 +228,23 @@ def test_su_obstruction_validates_arguments():
         su_obstruction(mg, -1, 2)
     with pytest.raises(ValueError):
         su_obstruction(mg, 0, 0)
+
+
+def test_su_obstruction_reports_timeout():
+    # the whole search takes seconds; a 0.2 s deadline cuts it short
+    res = su_obstruction(u_pattern(3, False, 3), 1, 3, timeout=0.2)
+    assert res.status == "timeout"
+    assert not res.found
+
+
+def test_su_obstruction_starts_no_stage_after_deadline(monkeypatch):
+    calls = []
+    for name in ("min_genus", "find_marked_minor"):
+        def counted(*args, _name=name, _fn=getattr(outerplanarity, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(outerplanarity, name, counted)
+    res = su_obstruction(omega_theta(3, 2), 0, 2, timeout=0.0)
+    assert res.status == "timeout"
+    assert calls == []
