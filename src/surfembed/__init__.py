@@ -8,6 +8,7 @@ from .core import (
     Graph,
     MarkedGraph,
     PathSystem,
+    SearchTimeout,
     blocks,
     complete_bipartite,
     complete_graph,
@@ -24,7 +25,6 @@ from .core import (
 from .decompose import (
     Decomposition,
     contraction_planarize,
-    decompose,
     genus_bound,
     overlap_report,
     verify_decomposition,
@@ -66,7 +66,6 @@ from .minors import (
     MinorModel,
     MinorResult,
     PackResult,
-    SearchTimeout,
     compose_models,
     find_marked_minor,
     find_minor,

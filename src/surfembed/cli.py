@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import io as sio
-from .core import Graph, MarkedGraph
+from .core import Graph, MarkedGraph, SearchTimeout
 from .decompose import decompose, genus_bound, verify_decomposition
 from .dichotomy import (
     almost_outerplanar_dichotomy,
@@ -202,6 +202,10 @@ def _cmd_decompose(args) -> int:
         d = decompose(g, args.budget, timeout=args.timeout)
     except BudgetExceeded as exc:
         _emit(args, {"status": "exceeds-budget", "detail": str(exc)}, [str(exc)])
+        return 2
+    except SearchTimeout:
+        detail = f"search deadline passed ({args.timeout} s)"
+        _emit(args, {"status": "timeout", "detail": detail}, [detail])
         return 2
     payload = sio.decomposition_to_json(d)
     payload["genus_bound"] = genus_bound(d, budget=max(args.budget, 1))

@@ -3,11 +3,13 @@
 Vertices are non-negative integers.  Edges are unordered pairs, stored normalized
 as (min, max) tuples.  All value types are immutable after construction; every
 operation returns a new object and uses deterministic tie-breaking (smallest id
-first) so that repeated runs produce identical output.
+first) so that repeated runs produce identical output.  The one deadline
+mechanism every search shares lives here too.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -612,3 +614,35 @@ def minimal_connecting_forest(g: Graph, terminals: Iterable[int]) -> Graph:
         used = {v for e in tree for v in e}
         forest_vertices |= used if used else {root}
     return Graph(forest_vertices, forest_edges)
+
+
+# -- deadlines ----------------------------------------------------------------
+
+
+class SearchTimeout(Exception):
+    """A search deadline passed."""
+
+
+def deadline_after(timeout: float | None) -> float | None:
+    """The monotonic time `timeout` seconds from now; None means no limit."""
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def time_left(deadline: float | None) -> float | None:
+    """Seconds left before the deadline (None: no limit); raises
+    SearchTimeout once none are.  A compound call passes this as the
+    timeout of each stage, so one deadline bounds the whole call."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise SearchTimeout
+    return left
+
+
+def settled(result):
+    """The result of a stage, unless its status is "timeout": that raises
+    SearchTimeout."""
+    if result.status == "timeout":
+        raise SearchTimeout
+    return result

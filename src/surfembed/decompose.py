@@ -19,9 +19,13 @@ from itertools import combinations
 
 from .core import (
     Graph,
+    SearchTimeout,
     contract,
+    deadline_after,
     minimal_connecting_forest,
     norm_edge,
+    settled,
+    time_left,
 )
 from .embeddings import (
     BudgetExceeded,
@@ -227,18 +231,22 @@ def decompose(g: Graph, genus_budget: int, timeout: float | None = None) -> Deco
     face component then holds at most one same-origin pair of boundary
     copies, so projecting boundary copies back to their core vertices leaves
     it planar; those projections are the pieces.
+
+    Raises BudgetExceeded when the genus exceeds the budget, and
+    SearchTimeout when the timeout, which bounds the whole call, passes.
     """
+    deadline = deadline_after(timeout)
     comps = g.components()
     if len(comps) > 1:
         pieces: list[Graph] = []
         cores: set[Edge] = set()
         for comp in comps:
-            sub = decompose(g.subgraph(comp), genus_budget, timeout)
+            sub = decompose(g.subgraph(comp), genus_budget, timeout=time_left(deadline))
             pieces.extend(sub.pieces)
             cores |= sub.core.edges
         return Decomposition(pieces, Graph([], sorted(cores)))
 
-    r = min_genus(g, genus_budget, timeout=timeout)
+    r = settled(min_genus(g, genus_budget, timeout=time_left(deadline)))
     if r.status != "ok":
         raise BudgetExceeded(f"genus search {r.status} at budget {genus_budget}")
     if r.genus == 0:
@@ -248,7 +256,7 @@ def decompose(g: Graph, genus_budget: int, timeout: float | None = None) -> Deco
     core = g
     for e in sorted(g.edges):
         trial = core.remove_edges([e])
-        rr = min_genus(trial, gamma, timeout=timeout)
+        rr = settled(min_genus(trial, gamma, timeout=time_left(deadline)))
         if rr.status == "ok" and rr.genus == gamma:
             core = trial
     core = Graph([], sorted(core.edges))
@@ -296,6 +304,8 @@ def contraction_planarize(
     Strategy: decompose, join the vertices shared between pieces by a
     minimal forest in g and contract that; when the forest is too large or
     does not work, fall back to exhaustive search over small edge subsets.
+    The timeout bounds only the decompose stage; the exhaustive fallback
+    ignores it.
     """
     if is_planar(g):
         return frozenset()
@@ -310,7 +320,7 @@ def contraction_planarize(
             q, _ = contract(g, forest.edges)
             if is_planar(q):
                 return frozenset(forest.edges)
-    except BudgetExceeded:
+    except (BudgetExceeded, SearchTimeout):
         pass
     for size in range(1, k + 1):
         for combo in combinations(sorted(g.edges), size):

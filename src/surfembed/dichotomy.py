@@ -20,10 +20,13 @@ from .core import (
     Graph,
     MarkedGraph,
     PathSystem,
+    SearchTimeout,
     cone,
     contract,
+    deadline_after,
     max_disjoint_paths,
     norm_edge,
+    time_left,
 )
 from .decompose import Decomposition, decompose, genus_bound
 from .embeddings import BudgetExceeded, is_planar
@@ -276,7 +279,6 @@ def _comb_on_spine(
 
 def _comb_search(g: Graph, u: frozenset[int], n: int) -> CombStructure | None:
     """Look for a spine with n disjoint teeth inside a spanning tree."""
-    best: CombStructure | None = None
     for comp in sorted(g.components(), key=min):
         if len(comp & u) < n:
             continue
@@ -294,10 +296,6 @@ def _comb_search(g: Graph, u: frozenset[int], n: int) -> CombStructure | None:
                 ok, errs = verify_comb(g, u, cand)
                 assert ok, errs
                 return cand
-            if best is None or len(teeth) > len(best.carrier.paths):
-                best = CombStructure(
-                    "comb", PathSystem(tuple(teeth), frozenset()), (spine,), (), n
-                )
     return None
 
 
@@ -524,20 +522,9 @@ def _first_witness(searches) -> Witness | None:
 # --- the four engines -------------------------------------------------
 
 def _spanning_forest_edges(g: Graph) -> set[tuple[int, int]]:
-    forest = set()
-    seen: set[int] = set()
-    for comp in sorted(g.components(), key=min):
-        root = min(comp)
-        seen.add(root)
-        queue = [root]
-        while queue:
-            x = queue.pop(0)
-            for y in sorted(g.neighbors(x)):
-                if y not in seen:
-                    seen.add(y)
-                    forest.add(norm_edge(x, y))
-                    queue.append(y)
-    return forest
+    """The edges of _bfs_tree on every component."""
+    trees = [_bfs_tree(g, comp) for comp in g.components()]
+    return {norm_edge(x, y) for adj in trees for x, ys in adj.items() for y in ys}
 
 
 def forest_edge_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
@@ -664,7 +651,12 @@ def classify(
     obstruction search over the planar remainder, converting every hit
     into a catalog witness in the original graph.  When nothing
     obstructs, the report carries a decomposition certificate and the
-    genus bound it implies."""
+    genus bound it implies.
+
+    The timeout bounds the obstruction searches and the decomposition
+    together; the planarizing flaw search takes none.  When it passes,
+    the report keeps what was found so far and notes the deadline."""
+    deadline = deadline_after(timeout)
     report = ClassifyReport()
     pv = planar_vertex_flaws(g, n, k)
     if pv.tag == "witness":
@@ -676,36 +668,39 @@ def classify(
 
     report.flaw = pv.flaw
     flaw = sorted(pv.flaw)
-    if not flaw:
-        report.certificate = decompose(g, genus_budget)
-        report.bound = genus_bound(report.certificate)
-        report.notes.append("planar")
-        return report
-
-    base = g.remove_vertices(flaw)
-    for v1 in flaw:
-        marks = frozenset(g.neighbors(v1)) & base.vertices
-        su = su_obstruction(MarkedGraph(base, marks), genus_budget, n, timeout=timeout)
-        if su.found:
-            host = g.remove_vertices(set(flaw) - {v1})
-            conv = convert_to_sigma(host, v1, su.kind, su.model)
-            pid = PatternId("sigma", conv.sigma_index, conv.level)
-            if conv.level >= n:
-                report.witnesses.append((pid, conv.model))
-            else:
-                report.notes.append(
-                    f"sigma({conv.sigma_index}) witness reached only level {conv.level}"
-                )
-        elif su.status == "certificate":
-            report.notes.append(
-                f"marked remainder at {v1} cones within genus budget {genus_budget}"
-            )
-        else:
-            report.notes.append(f"obstruction search at {v1}: {su.detail}")
-    if not report.witnesses:
-        try:
-            report.certificate = decompose(g, genus_budget)
+    try:
+        if not flaw:
+            report.certificate = decompose(g, genus_budget, timeout=time_left(deadline))
             report.bound = genus_bound(report.certificate)
-        except BudgetExceeded:
-            report.notes.append("no decomposition within the genus budget")
+            report.notes.append("planar")
+            return report
+
+        base = g.remove_vertices(flaw)
+        for v1 in flaw:
+            mg = MarkedGraph(base, frozenset(g.neighbors(v1)) & base.vertices)
+            su = su_obstruction(mg, genus_budget, n, timeout=time_left(deadline))
+            if su.found:
+                host = g.remove_vertices(set(flaw) - {v1})
+                conv = convert_to_sigma(host, v1, su.kind, su.model)
+                pid = PatternId("sigma", conv.sigma_index, conv.level)
+                if conv.level >= n:
+                    report.witnesses.append((pid, conv.model))
+                else:
+                    report.notes.append(
+                        f"sigma({conv.sigma_index}) witness reached only level {conv.level}"
+                    )
+            elif su.status == "certificate":
+                report.notes.append(
+                    f"marked remainder at {v1} cones within genus budget {genus_budget}"
+                )
+            else:
+                report.notes.append(f"obstruction search at {v1}: {su.detail}")
+        if not report.witnesses:
+            try:
+                report.certificate = decompose(g, genus_budget, timeout=time_left(deadline))
+                report.bound = genus_bound(report.certificate)
+            except BudgetExceeded:
+                report.notes.append("no decomposition within the genus budget")
+    except SearchTimeout:
+        report.notes.append(f"search deadline passed ({timeout} s)")
     return report

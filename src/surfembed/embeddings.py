@@ -34,7 +34,7 @@ from typing import Iterable, Literal, Sequence
 import networkx as nx
 from networkx.algorithms.planarity import LRPlanarity
 
-from .core import Edge, Graph, blocks, norm_edge
+from .core import Edge, Graph, SearchTimeout, blocks, deadline_after, norm_edge
 
 # ---------------------------------------------------------------------------
 # rotation systems and faces
@@ -168,10 +168,6 @@ class GenusResult:
         return self.status in ("ok", "exceeds-budget")
 
 
-class _Timeout(Exception):
-    pass
-
-
 def _girth(g: Graph) -> int:
     """Length of a shortest cycle of g, which must have one: breadth-first
     search from every vertex, stopping once no shorter cycle can close."""
@@ -206,7 +202,8 @@ def _search_block(
     A node is pruned when the faces still achievable cannot reach the target:
     every face of a 2-connected graph that is not an edge holds a cycle, so
     it takes at least girth darts.  The search stops at the first embedding
-    of genus `lower`, a certified lower bound.  Raises _Timeout on deadline.
+    of genus `lower`, a certified lower bound.  Raises SearchTimeout on
+    deadline.
     """
     verts = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
     vn, en, nd = len(verts), g.m, 2 * g.m
@@ -295,7 +292,7 @@ def _search_block(
             c_f0 = f0
         nodes += 1
         if deadline is not None and nodes & 4095 == 0 and time.monotonic() > deadline:
-            raise _Timeout
+            raise SearchTimeout
         if c_closed + 1 + (nd - used_cnt - 1) // girth < need:
             continue
         # descend: x -> y becomes a rotation pair, mark joins the open face
@@ -339,7 +336,7 @@ def min_genus(
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    deadline = time.monotonic() + timeout if timeout is not None else None
+    deadline = deadline_after(timeout)
     rot: dict[int, list[int]] = {v: [] for v in g.vertices}
     hard: list[tuple[Graph, int, int]] = []  # (block, girth, lower bound)
     for be in blocks(g).blocks:
@@ -362,7 +359,7 @@ def min_genus(
         reserve -= lower
         try:
             found = _search_block(bg, girth, lower, budget - total - reserve, deadline)
-        except _Timeout:
+        except SearchTimeout:
             return GenusResult(
                 status="timeout", genus=None, rotation=None,
                 lower_bound=total + lower + reserve,

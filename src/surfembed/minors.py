@@ -19,11 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Edge, Graph, MarkedGraph, norm_edge
-
-
-class SearchTimeout(Exception):
-    """Internal signal that a search deadline passed."""
+from .core import Edge, Graph, MarkedGraph, SearchTimeout, deadline_after, norm_edge
 
 
 @dataclass
@@ -153,10 +149,6 @@ def verify_marked_model(
     return (not errs, errs)
 
 
-def _deadline(timeout: float | None) -> float | None:
-    return None if timeout is None else time.monotonic() + timeout
-
-
 def _connected_subsets(g, allowed, seeds, cap, ticker):
     """Yield every connected subset of `allowed` with at most `cap` vertices
     whose seed (smallest usable id, or the forced root) is in `seeds`.
@@ -248,14 +240,12 @@ def _model_stream(
     g_marked: frozenset[int] = frozenset(),
     h_marked: frozenset[int] = frozenset(),
     roots: dict[int, int] | None = None,
-    through: int | None = None,
     deadline: float | None = None,
 ):
     """Yield every minor model of h in g, marked constraints included, up
     to swapping the branch sets of twin pattern vertices.
 
     roots pins a pattern vertex's branch set to contain a given host
-    vertex.  through restricts to models whose support uses that host
     vertex.  A twin swap keeps the support, the marks and the roots, so
     exhaustion of this generator still certifies absence.
     """
@@ -283,15 +273,10 @@ def _model_stream(
     def place(idx: int, avail: set[int], placed: dict[int, frozenset[int]], spent: int):
         ticker()
         if idx == len(order):
-            if through is not None and all(through not in bs for bs in placed.values()):
-                return
             connectors = _resolve_connectors(g, h, placed)
             if connectors is not None:
                 yield dict(placed), connectors
             return
-        if through is not None and through not in avail:
-            if all(through not in bs for bs in placed.values()):
-                return
         p = order[idx]
         cap = min(len(avail) - (len(order) - idx - 1), edge_budget - spent + 1)
         if cap < 1:
@@ -335,15 +320,14 @@ def find_minor(
     h: Graph,
     timeout: float | None = None,
     roots: dict[int, int] | None = None,
-    through: int | None = None,
 ) -> MinorResult:
     """Search g for a minor model of h.
 
     Returns found with a verified-shape model, absent after exhausting
-    the space, or timeout.  roots/through narrow the search as described
-    in _model_stream.
+    the space, or timeout.  roots narrows the search as described in
+    _model_stream.
     """
-    stream = _model_stream(g, h, roots=roots, through=through, deadline=_deadline(timeout))
+    stream = _model_stream(g, h, roots=roots, deadline=deadline_after(timeout))
     return _first_model(stream, MinorModel)
 
 
@@ -352,7 +336,6 @@ def find_marked_minor(
     h: MarkedGraph,
     timeout: float | None = None,
     roots: dict[int, int] | None = None,
-    through: int | None = None,
 ) -> MinorResult:
     """Marked variant: marked pattern vertices must capture marked host
     vertices."""
@@ -362,8 +345,7 @@ def find_marked_minor(
         g_marked=g.marked,
         h_marked=h.marked,
         roots=roots,
-        through=through,
-        deadline=_deadline(timeout),
+        deadline=deadline_after(timeout),
     )
     return _first_model(stream, lambda bsets, conn: MarkedMinorModel(bsets, conn, g.marked))
 
@@ -393,7 +375,7 @@ def _pack(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    deadline = _deadline(timeout)
+    deadline = deadline_after(timeout)
     shared = 0 if hub is None else 1
     best: list[MinorModel] = []
     best_hub: int | None = None

@@ -10,7 +10,6 @@ K_{2,n} double star) at a requested level n, or certify a residue.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -19,9 +18,13 @@ from .core import (
     Graph,
     MarkedGraph,
     PathSystem,
+    SearchTimeout,
     cone,
+    deadline_after,
     max_disjoint_paths,
     norm_edge,
+    settled,
+    time_left,
 )
 from .embeddings import (
     BudgetExceeded,
@@ -33,7 +36,6 @@ from .embeddings import (
 )
 from .minors import (
     MarkedMinorModel,
-    SearchTimeout,
     find_marked_minor,
     glue_models,
     verify_marked_model,
@@ -233,16 +235,17 @@ def relative_genus(
 ) -> RelativeGenusResult:
     """Euler genus of the cone over u and of g, plus the critical vertices.
 
-    Raises BudgetExceeded when a needed genus value cannot be certified
-    within the budget (or the timeout).
+    Raises BudgetExceeded when a needed genus value exceeds the budget, and
+    SearchTimeout when the timeout, which bounds the whole call, passes.
     """
     u = frozenset(u)
     stray = u - g.vertices
     if stray:
         raise ValueError(f"marked vertices not in graph: {sorted(stray)}")
+    deadline = deadline_after(timeout)
 
     def exact(h: Graph, cap: int) -> int:
-        r = min_genus(h, cap, timeout=timeout)
+        r = settled(min_genus(h, cap, timeout=time_left(deadline)))
         if r.status != "ok":
             raise BudgetExceeded(f"genus search {r.status} at budget {cap}")
         return r.genus
@@ -256,9 +259,7 @@ def relative_genus(
             hx = g.remove_vertices([x])
             gb = exact(hx, budget)
             cx, _ = cone(hx, u - {x})
-            rx = min_genus(cx, gb, timeout=timeout)
-            if rx.status == "timeout":
-                raise BudgetExceeded("genus search timeout")
+            rx = settled(min_genus(cx, gb, timeout=time_left(deadline)))
             if rx.status == "ok":
                 crit.append(x)
     return RelativeGenusResult(gamma_cone, gamma_base, tuple(crit))
@@ -299,26 +300,13 @@ def double_star_search(
             "separated", separator=link.separator, links=len(link.paths)
         )
     r = find_marked_minor(g, u_pattern(5, False, n), timeout=timeout, roots={0: x, 1: y})
-    if r.found:
-        return DoubleStarResult("found", model=r.model, links=len(link.paths))
-    if r.status == "timeout":
-        return DoubleStarResult("timeout", links=len(link.paths))
-    return DoubleStarResult("exhausted", links=len(link.paths))
+    status = "exhausted" if r.status == "absent" else r.status
+    return DoubleStarResult(status, model=r.model, links=len(link.paths))
 
 
 # bouquet targets in search order: hub in a marked branch first, then the
 # primed (unmarked hub) variants; theta1 has no unmarked vertex
 _TARGETS = ((1, False), (2, False), (3, False), (4, False), (2, True), (3, True), (4, True))
-
-
-def _remaining(deadline: float | None) -> float | None:
-    """Time left before the deadline; raises SearchTimeout once none is."""
-    if deadline is None:
-        return None
-    left = deadline - time.monotonic()
-    if left <= 0:
-        raise SearchTimeout
-    return left
 
 
 def _bouquet_at(
@@ -336,14 +324,8 @@ def _bouquet_at(
         k, km = g.graph, g.marked
         models: list[MarkedMinorModel] = []
         while len(models) < n and x in k.vertices:
-            r = find_marked_minor(
-                MarkedGraph(k, km & k.vertices),
-                theta(i),
-                timeout=_remaining(deadline),
-                roots={hub: x},
-            )
-            if r.status == "timeout":
-                raise SearchTimeout
+            sub = MarkedGraph(k, km & k.vertices)
+            r = settled(find_marked_minor(sub, theta(i), time_left(deadline), {hub: x}))
             if not r.found:
                 break
             models.append(r.model)
@@ -367,9 +349,7 @@ def _free_theta(g: MarkedGraph, deadline: float | None) -> ThetaWitness | None:
             return None
         return extract_theta(g, res.witness, apex)
     for i in (1, 2, 3, 4):
-        r = find_marked_minor(g, theta(i), timeout=_remaining(deadline))
-        if r.status == "timeout":
-            raise SearchTimeout
+        r = settled(find_marked_minor(g, theta(i), timeout=time_left(deadline)))
         if r.found:
             return ThetaWitness(i, r.model)
     return None
@@ -417,14 +397,11 @@ def su_obstruction(
         raise ValueError("level must be >= 1")
     if genus_budget < 0:
         raise ValueError("genus budget must be >= 0")
-    deadline = None if timeout is None else time.monotonic() + timeout
+    deadline = deadline_after(timeout)
 
     def nice(h: Graph, marks: frozenset[int]) -> bool:
         ch, _ = cone(h, marks & h.vertices)
-        r = min_genus(ch, genus_budget, timeout=_remaining(deadline))
-        if r.status == "timeout":
-            raise SearchTimeout
-        return r.status == "ok"
+        return settled(min_genus(ch, genus_budget, timeout=time_left(deadline))).status == "ok"
 
     def witness(pid: PatternId, model: MarkedMinorModel) -> SuResult:
         ok, errs = verify_marked_model(g, build_pattern(pid), model)
@@ -464,9 +441,7 @@ def su_obstruction(
                     return witness(*hit)
             if len(crits) >= 2:
                 for x, y in combinations(crits, 2):
-                    ds = double_star_search(cur, x, y, n, timeout=_remaining(deadline))
-                    if ds.status == "timeout":
-                        raise SearchTimeout
+                    ds = settled(double_star_search(cur, x, y, n, timeout=time_left(deadline)))
                     if ds.found:
                         return witness(PatternId("u", 5, n), ds.model)
             tw = _free_theta(cur, deadline)

@@ -1,6 +1,8 @@
-"""Graph container, constructors, flow machinery, blocks, forests."""
+"""Graph container, constructors, flow machinery, blocks, forests, deadlines."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,18 +10,22 @@ from oracles import random_graph, separator_cuts_everything
 from surfembed.core import (
     Graph,
     MarkedGraph,
+    SearchTimeout,
     blocks,
     complete_bipartite,
     complete_graph,
     cone,
     contract,
     cycle_graph,
+    deadline_after,
     disjoint_union,
     identify_vertices,
     max_disjoint_paths,
     minimal_connecting_forest,
     norm_edge,
     path_graph,
+    settled,
+    time_left,
 )
 
 
@@ -204,3 +210,22 @@ def test_minimal_forest_leaves_are_terminals(rng):
         for v in f.vertices:
             if f.degree(v) <= 1:
                 assert v in terms
+
+
+def test_deadline_helpers():
+    assert deadline_after(None) is None
+    assert time_left(None) is None
+    left = time_left(deadline_after(60.0))
+    assert 0 < left <= 60.0
+    with pytest.raises(SearchTimeout):
+        time_left(deadline_after(0.0))
+    with pytest.raises(SearchTimeout):
+        time_left(deadline_after(-1.0))
+
+
+def test_settled_raises_only_on_timeout():
+    for status in ("ok", "absent", "exceeds-budget", "exhausted"):
+        r = SimpleNamespace(status=status)
+        assert settled(r) is r
+    with pytest.raises(SearchTimeout):
+        settled(SimpleNamespace(status="timeout"))

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import time
+import types
+
 import pytest
 
+import surfembed.decompose as decompose_module
 from oracles import random_graph
 from surfembed.core import (
     Graph,
+    SearchTimeout,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -22,6 +27,7 @@ from surfembed.decompose import (
     verify_decomposition,
 )
 from surfembed.embeddings import BudgetExceeded, min_genus, planarity
+from surfembed.patterns import sigma
 
 
 def _wedge_of_k5s() -> Graph:
@@ -172,3 +178,44 @@ def test_decompose_random_hosts(rng):
         true = min_genus(g, budget=2)
         if true.status == "ok":
             assert bound >= true.genus
+
+
+def test_decompose_module_is_not_shadowed():
+    # the package must not re-export the function under the module's name
+    assert isinstance(decompose_module, types.ModuleType)
+    assert decompose_module.decompose is decompose
+
+
+def test_decompose_timeout_raises_search_timeout():
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        decompose(sigma(5, 3), 2, timeout=1.0)
+    assert time.monotonic() - start < 3.0
+
+
+def _spy_min_genus(monkeypatch) -> list:
+    timeouts = []
+
+    def spy(g, budget, timeout=None):
+        timeouts.append(timeout)
+        return min_genus(g, budget, timeout=timeout)
+
+    monkeypatch.setattr(decompose_module, "min_genus", spy)
+    return timeouts
+
+
+def test_decompose_stages_share_one_deadline(monkeypatch):
+    timeouts = _spy_min_genus(monkeypatch)
+    # K5 with a triangle tail: one genus call, then one per edge of the core search
+    g = complete_graph(5).add_edges([(4, 5), (5, 6), (6, 7), (5, 7)])
+    decompose(g, 1, timeout=30)
+    assert len(timeouts) == 1 + g.m
+    assert timeouts == sorted(timeouts, reverse=True)
+    assert all(t < 30 for t in timeouts[1:])
+
+
+def test_decompose_zero_timeout_starts_no_genus_search(monkeypatch):
+    timeouts = _spy_min_genus(monkeypatch)
+    with pytest.raises(SearchTimeout):
+        decompose(complete_graph(5), 1, timeout=0.0)
+    assert timeouts == []

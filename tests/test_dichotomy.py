@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
+
+import surfembed
 
 from oracles import connected_graphs_on, random_tree
 from surfembed.core import (
@@ -343,3 +350,29 @@ def test_classify_gives_up_honestly():
     assert rep.flaw is None
     assert rep.certificate is None
     assert rep.notes
+
+
+_CLASSIFY_TIMEOUT_SCRIPT = """
+import json, time
+from surfembed.dichotomy import classify
+from surfembed.patterns import sigma
+start = time.monotonic()
+rep = classify(sigma(5, 3), 4, 1, 2, timeout=2.0)
+print(json.dumps({"elapsed": time.monotonic() - start,
+                  "certified": rep.certificate is not None, "notes": rep.notes}))
+"""
+
+
+def test_classify_timeout_bounds_the_whole_call():
+    # in a child process, so that a deadline that does not hold fails the
+    # test instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(surfembed.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLASSIFY_TIMEOUT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert out["elapsed"] < 10
+    assert not out["certified"]
+    assert any("deadline" in note for note in out["notes"])

@@ -322,3 +322,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["pattern", "sigma:9", "-n", "2"]) == 1
     assert main(["pattern", "u:1"]) == 1  # missing level
+
+
+def test_cli_decompose_timeout_reports_timeout(tmp_path, capsys):
+    from surfembed.patterns import sigma
+
+    host = _write(tmp_path, "sigma5_3.txt", format_edge_list(sigma(5, 3)))
+    assert main(["decompose", "--json", "--budget", "2", "--timeout", "1", host]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "timeout"

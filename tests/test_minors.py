@@ -94,13 +94,6 @@ def test_roots_pin_branch_sets():
     assert 4 in res.model.branch_sets[0]
 
 
-def test_through_forces_support():
-    g = disjoint_union([cycle_graph(3), cycle_graph(3)])
-    res = find_minor(g, cycle_graph(3), through=5)
-    assert res.found
-    assert 5 in res.model.support()
-
-
 def test_marked_minor_respects_marks():
     # host: 4-cycle marked on two opposite vertices
     host = MarkedGraph(cycle_graph(4), frozenset([0, 2]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import surfembed.outerplanarity as outerplanarity
@@ -9,6 +11,7 @@ from oracles import has_k4_minor, has_k23_minor, random_graph
 from surfembed.core import (
     Graph,
     MarkedGraph,
+    SearchTimeout,
     complete_bipartite,
     complete_graph,
     cone,
@@ -248,3 +251,10 @@ def test_su_obstruction_starts_no_stage_after_deadline(monkeypatch):
     res = su_obstruction(omega_theta(3, 2), 0, 2, timeout=0.0)
     assert res.status == "timeout"
     assert calls == []
+
+
+def test_relative_genus_timeout_raises_search_timeout():
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        relative_genus(sigma(5, 3), [2, 3], 2, timeout=1.0)
+    assert time.monotonic() - start < 3.0
