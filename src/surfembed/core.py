@@ -136,32 +136,8 @@ class Graph:
             comps.append(frozenset(comp))
         return comps
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
     def cycle_rank(self) -> int:
         return self.m - self.n + len(self.components())
-
-    def shortest_path(self, src: int, dst: int, avoid: Iterable[int] = ()) -> list[int] | None:
-        """BFS path from src to dst avoiding the given vertices; None if separated."""
-        avoid = set(avoid)
-        if src in avoid or dst in avoid:
-            return None
-        prev: dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if x == dst:
-                path = [x]
-                while prev[x] != x:
-                    x = prev[x]
-                    path.append(x)
-                return path[::-1]
-            for y in self._adj[x]:
-                if y not in prev and y not in avoid:
-                    prev[y] = x
-                    queue.append(y)
-        return None
 
     # -- relabeling ------------------------------------------------------
 

@@ -130,9 +130,10 @@ class _Layout:
     """
 
     def __init__(self, g: Graph, rho: RotationSystem, core: Graph, gamma: int):
+        full = rho.as_dict()
         hrot = RotationSystem.from_dict(
             {
-                v: [w for w in rho.at(v) if core.has_edge(v, w)]
+                v: [w for w in full[v] if core.has_edge(v, w)]
                 for v in core.sorted_vertices()
             }
         )
@@ -143,7 +144,6 @@ class _Layout:
         for fi, walk in enumerate(trace_faces(core, hrot).faces):
             for dart in walk:
                 face_of_dart[dart] = fi
-        full = rho.as_dict()
 
         def sector(v: int, u: int) -> _SectorKey:
             ring = full[v]

@@ -218,8 +218,7 @@ def _bfs_tree(g: Graph, comp: frozenset[int]) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {root: []}
     seen = {root}
     queue = [root]
-    while queue:
-        x = queue.pop(0)
+    for x in queue:
         for y in sorted(g.neighbors(x)):
             if y not in seen:
                 seen.add(y)
@@ -231,8 +230,7 @@ def _bfs_tree(g: Graph, comp: frozenset[int]) -> dict[int, list[int]]:
 def _tree_path(adj: dict[int, list[int]], a: int, b: int) -> tuple[int, ...]:
     prev = {a: a}
     queue = [a]
-    while queue:
-        x = queue.pop(0)
+    for x in queue:
         if x == b:
             break
         for y in adj[x]:
@@ -259,8 +257,7 @@ def _comb_on_spine(
         prev = {p: p}
         queue = [p]
         hit = None
-        while queue and hit is None:
-            x = queue.pop(0)
+        for x in queue:
             for y in adj.get(x, []):
                 if y in prev or y in sset:
                     continue
@@ -269,6 +266,8 @@ def _comb_on_spine(
                     hit = y
                     break
                 queue.append(y)
+            if hit is not None:
+                break
         if hit is not None:
             tooth = [hit]
             while tooth[-1] != p:

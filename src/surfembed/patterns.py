@@ -9,17 +9,28 @@ the small auxiliary families used by the dichotomy engines.
 Every generator uses a fixed deterministic id layout, exposed through
 the *_copies helpers so converters and tests can address individual
 copies.  convert_to_sigma rebuilds a sigma witness from any valid marked
-model of a u/omega-theta pattern inside a cone, one assembly recipe per
-catalog row; the output model is verified before it is returned.
+model of a u/omega-theta pattern inside a cone.  One recipe table, with
+one row per catalog conversion, says which input branch sets (and the
+cone vertex) make up each sigma branch set; the connector edges are then
+resolved from those branch sets in the host.  The output model is
+verified before it is returned, and the same table drives
+verify_catalog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Edge, Graph, MarkedGraph, complete_bipartite, complete_graph, cone, norm_edge
+from .core import Graph, MarkedGraph, complete_bipartite, complete_graph, cone
 from .iso import are_isomorphic
-from .minors import MarkedMinorModel, MinorModel, find_minor, verify_marked_model, verify_model
+from .minors import (
+    MarkedMinorModel,
+    MinorModel,
+    _resolve_connectors,
+    find_minor,
+    verify_marked_model,
+    verify_model,
+)
 
 
 @dataclass(frozen=True)
@@ -135,10 +146,24 @@ def sigma(i: int, n: int) -> Graph:
         if n < 1:
             raise ValueError("level must be >= 1")
         return complete_bipartite(3, n)
-    base = _sigma_base(i)
-    _, maps = sigma_copies(i, n)
-    edges = [(m[u], m[v]) for m in maps for u, v in base.edges]
-    return Graph([], edges)
+    return _glue(_sigma_base(i), sigma_copies(i, n)[1])
+
+
+def _copy_maps(size: int, n: int, hub: int | None = None) -> list[dict[int, int]]:
+    """Copy j of a size-vertex block sends base id b to j*size + b; the
+    hub, if any, keeps its base id in every copy."""
+    return [{b: b if b == hub else j * size + b for b in range(size)} for j in range(n)]
+
+
+def _glue(base: Graph, maps: list[dict[int, int]]) -> Graph:
+    """The union of base's copies placed by the per-copy vertex maps."""
+    return Graph([], [(m[u], m[v]) for m in maps for u, v in base.edges])
+
+
+def _glue_theta(i: int, maps: list[dict[int, int]]) -> MarkedGraph:
+    base = theta(i)
+    marked = frozenset(m[b] for m in maps for b in base.marked)
+    return MarkedGraph(_glue(base.graph, maps), marked)
 
 
 def u_copies(i: int, primed: bool, n: int) -> tuple[int, list[dict[int, int]]]:
@@ -147,12 +172,7 @@ def u_copies(i: int, primed: bool, n: int) -> tuple[int, list[dict[int, int]]]:
     hub = (_HUB_PRIMED if primed else _HUB_PLAIN).get(i)
     if hub is None:
         raise ValueError(f"no {'primed ' if primed else ''}bouquet for theta index {i}")
-    size = _THETA_SIZE[i]
-    maps = []
-    for j in range(n):
-        m = {b: (hub if b == hub else j * size + b) for b in range(size)}
-        maps.append(m)
-    return hub, maps
+    return hub, _copy_maps(_THETA_SIZE[i], n, hub)
 
 
 def u_pattern(i: int, primed: bool, n: int) -> MarkedGraph:
@@ -168,27 +188,18 @@ def u_pattern(i: int, primed: bool, n: int) -> MarkedGraph:
         return MarkedGraph(g, frozenset(range(2, n + 2)))
     if i == 1 and primed:
         raise ValueError("every vertex of theta1 is marked; no primed variant")
-    base = theta(i)
-    _, maps = u_copies(i, primed, n)
-    edges = [(m[u], m[v]) for m in maps for u, v in base.graph.edges]
-    marked = {m[b] for m in maps for b in base.marked}
-    return MarkedGraph(Graph([], edges), frozenset(marked))
+    return _glue_theta(i, u_copies(i, primed, n)[1])
 
 
 def omega_theta_copies(i: int, n: int) -> list[dict[int, int]]:
-    size = _THETA_SIZE[i]
-    return [{b: j * size + b for b in range(size)} for j in range(n)]
+    return _copy_maps(_THETA_SIZE[i], n)
 
 
 def omega_theta(i: int, n: int) -> MarkedGraph:
     """n disjoint copies of theta(i), markings kept."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    base = theta(i)
-    maps = omega_theta_copies(i, n)
-    edges = [(m[u], m[v]) for m in maps for u, v in base.graph.edges]
-    marked = {m[b] for m in maps for b in base.marked}
-    return MarkedGraph(Graph([], edges), frozenset(marked))
+    return _glue_theta(i, omega_theta_copies(i, n))
 
 
 # block graph and optional glue vertex for each auxiliary family
@@ -220,14 +231,7 @@ def aux_copies(kind: str, n: int) -> list[dict[int, int]]:
     base, hub = aux_block(kind)
     if n < 1:
         raise ValueError("level must be >= 1")
-    size = base.n
-    maps = []
-    for j in range(n):
-        m = {}
-        for b in range(size):
-            m[b] = b if (hub is not None and b == hub) else j * size + b
-        maps.append(m)
-    return maps
+    return _copy_maps(base.n, n, hub)
 
 
 def aux_pattern(kind: str, n: int) -> Graph:
@@ -237,11 +241,7 @@ def aux_pattern(kind: str, n: int) -> Graph:
         raise ValueError("level must be >= 1")
     if kind == "K2w":
         return complete_bipartite(2, n)
-    base, _ = aux_block(kind)
-    edges = []
-    for m in aux_copies(kind, n):
-        edges += [(m[u], m[v]) for u, v in base.edges]
-    return Graph([], edges)
+    return _glue(aux_block(kind)[0], aux_copies(kind, n))
 
 
 def build_pattern(pid: PatternId) -> Graph | MarkedGraph:
@@ -270,269 +270,60 @@ class ConversionResult:
     model: MinorModel
 
 
-# conversion table: (family, index) -> (sigma index, level offset)
-_CONVERSIONS = {
-    ("u", 1): (5, 0),
-    ("u", 2): (3, 0),
-    ("uprime", 2): (6, 1),
-    ("u", 3): (6, 0),
-    ("uprime", 3): (7, 0),
-    ("u", 4): (4, 0),
-    ("uprime", 4): (6, 1),
-    ("u", 5): (8, 0),
-    ("omega-theta", 1): (3, 0),
-    ("omega-theta", 2): (3, 0),
-    ("omega-theta", 3): (4, 0),
-    ("omega-theta", 4): (4, 0),
+# One row per catalog conversion: (family, index) -> (sigma index, copies
+# consumed, whether the cone is the sigma itself, recipe).  A recipe has
+# one token per sigma base vertex, in id order, naming the input theta
+# base vertices whose branch sets, plus the cone vertex for "v", make up
+# that target branch set.  Shared sigma vertices draw from the pool: the
+# consumed last copy, or else every copy (so a hub id names the hub).
+# Private ones draw from their own copy.  u5 has no copy layout: K_{2,n}
+# under the cone is K_{3,n}.
+_RECIPES: dict[tuple[str, int], tuple[int, int, bool, str]] = {
+    ("u", 1): (5, 0, True, "0 v 1 2 3"),
+    ("u", 2): (3, 0, False, "v0 1 2 3 4"),
+    ("uprime", 2): (6, 1, False, "v 3 4 02 0 1"),
+    ("u", 3): (6, 0, True, "v 0 1 2 3 4"),
+    ("uprime", 3): (7, 0, True, "0 v 1 2 3 4"),
+    ("u", 4): (4, 0, False, "v0 1 2 3 4 5"),
+    ("uprime", 4): (6, 1, False, "v 4 5 13 0 23"),
+    ("u", 5): (8, 0, True, ""),
+    ("omega-theta", 1): (3, 0, True, "v 0 1 2 3"),
+    ("omega-theta", 2): (3, 0, False, "v0 1 2 3 4"),
+    ("omega-theta", 3): (4, 0, True, "v 0 1 2 3 4"),
+    ("omega-theta", 4): (4, 0, False, "v0 1 2 3 4 5"),
 }
 
 
-class _Assembler:
-    """Shared plumbing for the per-row conversion recipes."""
+def _target_sets(
+    pid: PatternId, bs: dict[int, frozenset[int]], cone_v: int
+) -> tuple[int, int, dict[int, frozenset[int]]]:
+    """Sigma index, output level and target branch sets for pid's row."""
+    j, consumed, _, recipe = _RECIPES[(pid.family, pid.index)]
+    n = pid.level
+    if j == 8:
+        legs = {3 + k: bs[2 + k] for k in range(n)}
+        return 8, n, {0: bs[0], 1: bs[1], 2: frozenset({cone_v}), **legs}
+    if n <= consumed:
+        raise ValueError("this conversion consumes one copy; need level >= 2")
+    if pid.family == "omega-theta":
+        maps = omega_theta_copies(pid.index, n)
+    else:
+        maps = u_copies(pid.index, pid.family == "uprime", n)[1]
+    shared, smaps = sigma_copies(j, n - consumed)
 
-    def __init__(self, g: Graph, cone_v: int, model: MinorModel, host_marked: frozenset[int]):
-        self.g = g
-        self.v1 = cone_v
-        self.model = model
-        self.marked = host_marked
-        self.cone_nbrs = set(g.neighbors(cone_v))
-        self.tb: dict[int, frozenset[int]] = {}
-        self.tc: dict[Edge, Edge] = {}
+    def union(token: str, copies: list[dict[int, int]]) -> frozenset[int]:
+        out = {cone_v} if "v" in token else set()
+        for m in copies:
+            for b in token.replace("v", ""):
+                out |= bs[m[int(b)]]
+        return frozenset(out)
 
-    def bs(self, p: int) -> frozenset[int]:
-        return self.model.branch_sets[p]
-
-    def mrep(self, p: int) -> int:
-        """A marked host vertex adjacent to the cone vertex inside p's
-        branch set; its existence is part of the input contract."""
-        cands = sorted(self.bs(p) & self.marked & self.cone_nbrs)
-        if not cands:
-            raise ValueError(f"branch set of pattern vertex {p} has no marked cone neighbor")
-        return cands[0]
-
-    def conn(self, p: int, q: int) -> Edge:
-        return self.model.connect_edges[norm_edge(p, q)]
-
-    def put(self, t: int, vs) -> None:
-        self.tb[t] = frozenset(vs)
-
-    def cone_edge(self, t_u: int, t_v: int, p: int) -> None:
-        self.tc[norm_edge(t_u, t_v)] = norm_edge(self.v1, self.mrep(p))
-
-    def model_edge(self, t_u: int, t_v: int, p: int, q: int) -> None:
-        self.tc[norm_edge(t_u, t_v)] = self.conn(p, q)
-
-
-def _convert(a: _Assembler, family: str, index: int, n: int) -> tuple[int, int]:
-    """Fill a.tb/a.tc per the catalog row; returns (sigma index, out level)."""
-    v1 = a.v1
-    if family == "u" and index == 5:
-        # K_{2,n} plus cone vertex is K_{3,n}
-        a.put(0, a.bs(0))
-        a.put(1, a.bs(1))
-        a.put(2, {v1})
-        for j in range(n):
-            leg = 2 + j
-            a.put(3 + j, a.bs(leg))
-            a.model_edge(0, 3 + j, 0, leg)
-            a.model_edge(1, 3 + j, 1, leg)
-            a.cone_edge(2, 3 + j, leg)
-        return 8, n
-
-    if family == "omega-theta":
-        if index == 1:
-            _, smaps = sigma_copies(3, n)
-            cmaps = omega_theta_copies(1, n)
-            a.put(0, {v1})
-            for j in range(n):
-                s, c = smaps[j], cmaps[j]
-                for k in range(4):
-                    a.put(s[k + 1], a.bs(c[k]))
-                    a.cone_edge(0, s[k + 1], c[k])
-                    for k2 in range(k + 1, 4):
-                        a.model_edge(s[k + 1], s[k2 + 1], c[k], c[k2])
-            return 3, n
-        if index == 2:
-            _, smaps = sigma_copies(3, n)
-            cmaps = omega_theta_copies(2, n)
-            merged = {v1}
-            for c in cmaps:
-                merged |= a.bs(c[0])
-            a.put(0, merged)
-            for j in range(n):
-                s, c = smaps[j], cmaps[j]
-                for k in range(1, 5):
-                    a.put(s[k], a.bs(c[k]))
-                a.cone_edge(0, s[1], c[1])
-                for k in range(2, 5):
-                    a.model_edge(0, s[k], c[0], c[k])
-                for k in range(1, 5):
-                    for k2 in range(k + 1, 5):
-                        a.model_edge(s[k], s[k2], c[k], c[k2])
-            return 3, n
-        if index == 3:
-            _, smaps = sigma_copies(4, n)
-            cmaps = omega_theta_copies(3, n)
-            a.put(0, {v1})
-            for j in range(n):
-                s, c = smaps[j], cmaps[j]
-                a.put(s[1], a.bs(c[0]))
-                a.put(s[2], a.bs(c[1]))
-                for k in range(3):
-                    a.put(s[3 + k], a.bs(c[2 + k]))
-                    a.cone_edge(0, s[3 + k], c[2 + k])
-                    a.model_edge(s[1], s[3 + k], c[0], c[2 + k])
-                    a.model_edge(s[2], s[3 + k], c[1], c[2 + k])
-            return 4, n
-        if index == 4:
-            _, smaps = sigma_copies(4, n)
-            cmaps = omega_theta_copies(4, n)
-            merged = {v1}
-            for c in cmaps:
-                merged |= a.bs(c[0])
-            a.put(0, merged)
-            for j in range(n):
-                s, c = smaps[j], cmaps[j]
-                for b in (1, 2, 3, 4, 5):
-                    a.put(s[b], a.bs(c[b]))
-                a.cone_edge(0, s[3], c[3])
-                a.model_edge(0, s[4], c[0], c[4])
-                a.model_edge(0, s[5], c[0], c[5])
-                for b in (1, 2):
-                    for b2 in (3, 4, 5):
-                        a.model_edge(s[b], s[b2], c[b], c[b2])
-            return 4, n
-
-    hub, cmaps = u_copies(index, family == "uprime", n)
-    if (family, index) == ("u", 1):
-        _, smaps = sigma_copies(5, n)
-        a.put(0, a.bs(hub))
-        a.put(1, {v1})
-        a.tc[norm_edge(0, 1)] = norm_edge(v1, a.mrep(hub))
-        for j in range(n):
-            s, c = smaps[j], cmaps[j]
-            for k in (1, 2, 3):
-                a.put(s[k + 1], a.bs(c[k]))
-                a.model_edge(0, s[k + 1], hub, c[k])
-                a.cone_edge(1, s[k + 1], c[k])
-                for k2 in range(k + 1, 4):
-                    a.model_edge(s[k + 1], s[k2 + 1], c[k], c[k2])
-        return 5, n
-
-    if (family, index) == ("u", 2):
-        _, smaps = sigma_copies(3, n)
-        a.put(0, a.bs(hub) | {v1})
-        for j in range(n):
-            s, c = smaps[j], cmaps[j]
-            for k in (1, 2, 3, 4):
-                a.put(s[k], a.bs(c[k]))
-            a.cone_edge(0, s[1], c[1])
-            for k in (2, 3, 4):
-                a.model_edge(0, s[k], hub, c[k])
-            for k in (1, 2, 3, 4):
-                for k2 in range(k + 1, 5):
-                    a.model_edge(s[k], s[k2], c[k], c[k2])
-        return 3, n
-
-    if (family, index) == ("uprime", 2):
-        if n < 2:
-            raise ValueError("this conversion consumes one copy; need level >= 2")
-        _, smaps = sigma_copies(6, n - 1)
-        last = cmaps[-1]
-        a.put(0, {v1})
-        a.put(3, a.bs(hub) | a.bs(last[0]))
-        a.tc[norm_edge(0, 3)] = norm_edge(v1, a.mrep(last[0]))
-        for j in range(n - 1):
-            s, c = smaps[j], cmaps[j]
-            a.put(s[1], a.bs(c[3]))
-            a.put(s[2], a.bs(c[4]))
-            a.put(s[4], a.bs(c[0]))
-            a.put(s[5], a.bs(c[1]))
-            a.cone_edge(0, s[4], c[0])
-            a.cone_edge(0, s[5], c[1])
-            a.model_edge(s[1], 3, c[3], hub)
-            a.model_edge(s[2], 3, c[4], hub)
-            a.model_edge(s[1], s[4], c[3], c[0])
-            a.model_edge(s[1], s[5], c[3], c[1])
-            a.model_edge(s[2], s[4], c[4], c[0])
-            a.model_edge(s[2], s[5], c[4], c[1])
-        return 6, n - 1
-
-    if (family, index) == ("u", 3):
-        _, smaps = sigma_copies(6, n)
-        a.put(0, {v1})
-        a.put(3, a.bs(hub))
-        a.tc[norm_edge(0, 3)] = norm_edge(v1, a.mrep(hub))
-        for j in range(n):
-            s, c = smaps[j], cmaps[j]
-            a.put(s[1], a.bs(c[0]))
-            a.put(s[2], a.bs(c[1]))
-            a.put(s[4], a.bs(c[3]))
-            a.put(s[5], a.bs(c[4]))
-            a.cone_edge(0, s[4], c[3])
-            a.cone_edge(0, s[5], c[4])
-            a.model_edge(s[1], 3, c[0], hub)
-            a.model_edge(s[2], 3, c[1], hub)
-            a.model_edge(s[1], s[4], c[0], c[3])
-            a.model_edge(s[1], s[5], c[0], c[4])
-            a.model_edge(s[2], s[4], c[1], c[3])
-            a.model_edge(s[2], s[5], c[1], c[4])
-        return 6, n
-
-    if (family, index) == ("uprime", 3):
-        _, smaps = sigma_copies(7, n)
-        a.put(0, a.bs(hub))
-        a.put(1, {v1})
-        for j in range(n):
-            s, c = smaps[j], cmaps[j]
-            a.put(s[2], a.bs(c[1]))
-            for k in range(3):
-                a.put(s[3 + k], a.bs(c[2 + k]))
-                a.model_edge(0, s[3 + k], hub, c[2 + k])
-                a.cone_edge(1, s[3 + k], c[2 + k])
-                a.model_edge(s[2], s[3 + k], c[1], c[2 + k])
-        return 7, n
-
-    if (family, index) == ("u", 4):
-        _, smaps = sigma_copies(4, n)
-        a.put(0, a.bs(hub) | {v1})
-        for j in range(n):
-            s, c = smaps[j], cmaps[j]
-            for b in (1, 2, 3, 4, 5):
-                a.put(s[b], a.bs(c[b]))
-            a.cone_edge(0, s[3], c[3])
-            a.model_edge(0, s[4], hub, c[4])
-            a.model_edge(0, s[5], hub, c[5])
-            for b in (1, 2):
-                for b2 in (3, 4, 5):
-                    a.model_edge(s[b], s[b2], c[b], c[b2])
-        return 4, n
-
-    if (family, index) == ("uprime", 4):
-        if n < 2:
-            raise ValueError("this conversion consumes one copy; need level >= 2")
-        _, smaps = sigma_copies(6, n - 1)
-        last = cmaps[-1]
-        a.put(0, {v1})
-        a.put(3, a.bs(hub) | a.bs(last[3]))
-        a.tc[norm_edge(0, 3)] = norm_edge(v1, a.mrep(last[3]))
-        for j in range(n - 1):
-            s, c = smaps[j], cmaps[j]
-            a.put(s[1], a.bs(c[4]))
-            a.put(s[2], a.bs(c[5]))
-            a.put(s[4], a.bs(c[0]))
-            a.put(s[5], a.bs(c[3]) | a.bs(c[2]))
-            a.cone_edge(0, s[4], c[0])
-            a.cone_edge(0, s[5], c[3])
-            a.model_edge(s[1], 3, c[4], hub)
-            a.model_edge(s[2], 3, c[5], hub)
-            a.model_edge(s[1], s[4], c[4], c[0])
-            a.model_edge(s[2], s[4], c[5], c[0])
-            a.model_edge(s[1], s[5], c[4], c[2])
-            a.model_edge(s[2], s[5], c[5], c[2])
-        return 6, n - 1
-
-    raise ValueError(f"no conversion recipe for {family}{index}")
+    tokens = recipe.split()
+    pool = maps[-consumed:] if consumed else maps
+    tb = {s: union(tokens[s], pool) for s in shared}
+    for m, sm in zip(maps, smaps):
+        tb.update({sm[t]: union(tok, [m]) for t, tok in enumerate(tokens) if t not in shared})
+    return j, n - consumed, tb
 
 
 def convert_to_sigma(
@@ -550,15 +341,14 @@ def convert_to_sigma(
     cone_v.  The two primed rows that glue at an unmarked vertex consume
     one copy: their output level is one lower.
     """
-    if x_kind.family not in ("u", "uprime", "omega-theta"):
-        raise ValueError(f"no sigma conversion from family {x_kind.family!r}")
+    if (x_kind.family, x_kind.index) not in _RECIPES:
+        raise ValueError(f"no sigma conversion from {x_kind.label()}")
     if cone_v not in g.vertices:
         raise ValueError(f"cone vertex {cone_v} not in the graph")
     if host_marked is None:
         if not isinstance(model, MarkedMinorModel):
             raise ValueError("need host_marked for a plain model")
         host_marked = model.host_marked
-    n = x_kind.level
     pattern = build_pattern(x_kind)
     host = g.remove_vertices([cone_v])
     if model.support() & {cone_v}:
@@ -567,10 +357,14 @@ def convert_to_sigma(
     if not ok:
         raise ValueError("invalid input model: " + "; ".join(errs))
 
-    a = _Assembler(g, cone_v, model, frozenset(host_marked))
-    j, out_level = _convert(a, x_kind.family, x_kind.index, n)
-    out = MinorModel(a.tb, a.tc)
-    ok, errs = verify_model(g, sigma(j, out_level), out)
+    j, out_level, tb = _target_sets(x_kind, model.branch_sets, cone_v)
+    target = sigma(j, out_level)
+    connectors = _resolve_connectors(g, target, tb)
+    if connectors is None:
+        raise ValueError("no host edge joins some adjacent target branch sets; "
+                         "a marked branch set misses the cone vertex's neighbors")
+    out = MinorModel(tb, connectors)
+    ok, errs = verify_model(g, target, out)
     # a failed assembly here means the recipe itself is wrong; stop hard
     assert ok, f"conversion recipe {x_kind.label()} produced a bad model: {errs}"
     return ConversionResult(j, out_level, out)
@@ -609,23 +403,6 @@ def _identity_model(pattern: MarkedGraph) -> MarkedMinorModel:
     )
 
 
-# rows of the conversion table: (x_kind builder args, expect isomorphism)
-_ROWS = [
-    ("u", 1, True),
-    ("u", 2, False),
-    ("uprime", 2, False),
-    ("u", 3, True),
-    ("uprime", 3, True),
-    ("u", 4, False),
-    ("uprime", 4, False),
-    ("u", 5, True),
-    ("omega-theta", 1, True),
-    ("omega-theta", 2, False),
-    ("omega-theta", 3, True),
-    ("omega-theta", 4, False),
-]
-
-
 def verify_catalog(
     n: int, minor_timeout: float = 60.0, incomparability: bool = True
 ) -> CatalogReport:
@@ -639,7 +416,7 @@ def verify_catalog(
         raise ValueError("catalog checks need level >= 2")
     rep = CatalogReport()
 
-    for family, index, expect_iso in _ROWS:
+    for (family, index), (_, _, expect_iso, _) in _RECIPES.items():
         pid = PatternId(family, index, n)
         name = f"cone({pid.label()})"
         try:

@@ -90,13 +90,6 @@ def test_components_and_cycle_rank():
     assert path_graph(6).cycle_rank() == 0
 
 
-def test_shortest_path_avoid():
-    g = cycle_graph(6)
-    assert g.shortest_path(0, 3) in ([0, 1, 2, 3], [0, 5, 4, 3])
-    assert g.shortest_path(0, 3, avoid=[1, 2]) == [0, 5, 4, 3]
-    assert g.shortest_path(0, 3, avoid=[1, 5]) is None
-
-
 def test_contract_triangle_to_edge():
     h, repmap = contract(cycle_graph(3), [(0, 1)])
     assert h.n == 2 and h.m == 1

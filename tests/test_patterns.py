@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from surfembed.core import MarkedGraph, complete_bipartite, complete_graph, cone
+from surfembed.core import Graph, MarkedGraph, complete_bipartite, complete_graph, cone, norm_edge
 from surfembed.iso import are_isomorphic
-from surfembed.minors import verify_marked_model
+from surfembed.minors import MarkedMinorModel, verify_marked_model, verify_model
 from surfembed.patterns import (
     PatternId,
     aux_copies,
@@ -207,6 +209,60 @@ def test_primed_conversion_drops_a_level():
 
     res = convert_to_sigma(coned, apex, PatternId("uprime", 2, 3), _identity_model(patt))
     assert res.sigma_index == 6 and res.level == 2
+
+
+# (family, index) -> (sigma index, level drop), as in criterion 4
+_CONVERSION_TABLE = {
+    ("u", 1): (5, 0), ("u", 2): (3, 0), ("uprime", 2): (6, 1), ("u", 3): (6, 0),
+    ("uprime", 3): (7, 0), ("u", 4): (4, 0), ("uprime", 4): (6, 1), ("u", 5): (8, 0),
+    ("omega-theta", 1): (3, 0), ("omega-theta", 2): (3, 0),
+    ("omega-theta", 3): (4, 0), ("omega-theta", 4): (4, 0),
+}
+
+
+def _subdivided_model(patt: MarkedGraph, rng: random.Random):
+    """Subdivide each pattern edge 0..2 times; a prefix of the new path
+    vertices joins one endpoint's branch set and the rest the other's."""
+    nxt = max(patt.graph.vertices) + 1
+    bsets = {p: {p} for p in patt.graph.vertices}
+    edges, conn = [], {}
+    for u, v in sorted(patt.graph.edges):
+        k = rng.randint(0, 2)
+        path = [u, *range(nxt, nxt + k), v]
+        nxt += k
+        cut = rng.randint(0, k)
+        for i, x in enumerate(path[1:-1], start=1):
+            bsets[u if i <= cut else v].add(x)
+        edges += zip(path, path[1:])
+        conn[norm_edge(u, v)] = norm_edge(path[cut], path[cut + 1])
+    frozen = {p: frozenset(b) for p, b in bsets.items()}
+    return Graph([], edges), MarkedMinorModel(frozen, conn, patt.marked)
+
+
+def test_conversions_of_subdivided_models():
+    rng = random.Random(7)
+    for (family, index), (target, drop) in _CONVERSION_TABLE.items():
+        for n in range(2 if family == "uprime" else 1, 5):
+            pid = PatternId(family, index, n)
+            patt = build_pattern(pid)
+            for _ in range(3):
+                host, model = _subdivided_model(patt, rng)
+                coned, apex = cone(host, patt.marked)
+                res = convert_to_sigma(coned, apex, pid, model)
+                assert (res.sigma_index, res.level) == (target, n - drop), pid.label()
+                ok, errs = verify_model(coned, sigma(target, n - drop), res.model)
+                assert ok, (pid.label(), errs)
+
+
+def test_conversion_needs_cone_neighbor_in_marked_branch_sets():
+    # the marked vertex 3 of the first theta3 copy misses the cone, so the
+    # sigma6 edge from the cone's branch set to its branch set has no host edge
+    pid = PatternId("u", 3, 2)
+    patt = build_pattern(pid)
+    host, model = _subdivided_model(patt, random.Random(1))
+    coned, apex = cone(host, patt.marked - {3})
+    with pytest.raises(ValueError, match="no host edge"):
+        convert_to_sigma(coned, apex, pid, model)
 
 
 def test_verify_catalog_conversions_level_two():
