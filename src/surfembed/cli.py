@@ -58,6 +58,10 @@ def _plain(g: Graph | MarkedGraph) -> Graph:
     return g.graph if isinstance(g, MarkedGraph) else g
 
 
+def _marked(g: Graph | MarkedGraph) -> MarkedGraph:
+    return g if isinstance(g, MarkedGraph) else MarkedGraph(g, frozenset())
+
+
 def _marks(g: Graph | MarkedGraph) -> tuple[Graph, frozenset[int]]:
     if isinstance(g, MarkedGraph):
         return g.graph, g.marked
@@ -123,26 +127,12 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    g = _plain(_load_graph(args.host))
-    h = _plain(_load_graph_or_pattern(args.pattern, args.level))
-    res = find_minor(g, h, timeout=args.timeout)
-    if res.found:
-        payload = {"status": "found", "model": sio.model_to_json(res.model)}
-        _emit(args, payload, ["found"])
-        return 0
-    payload = {"status": res.status}
-    _emit(args, payload, [res.status])
-    return 0 if res.status == "absent" else 2
-
-
-def _cmd_marked_minor(args) -> int:
     host = _load_graph(args.host)
-    if not isinstance(host, MarkedGraph):
-        host = MarkedGraph(host, frozenset())
     pat = _load_graph_or_pattern(args.pattern, args.level)
-    if not isinstance(pat, MarkedGraph):
-        pat = MarkedGraph(pat, frozenset())
-    res = find_marked_minor(host, pat, timeout=args.timeout)
+    if args.command == "marked-minor":
+        res = find_marked_minor(_marked(host), _marked(pat), timeout=args.timeout)
+    else:
+        res = find_minor(_plain(host), _plain(pat), timeout=args.timeout)
     if res.found:
         payload = {"status": "found", "model": sio.model_to_json(res.model)}
         _emit(args, payload, ["found"])
@@ -178,9 +168,7 @@ def _cmd_outerplanar(args) -> int:
 
 
 def _cmd_su_obstruct(args) -> int:
-    g = _load_graph(args.graph)
-    if not isinstance(g, MarkedGraph):
-        g = MarkedGraph(g, frozenset())
+    g = _marked(_load_graph(args.graph))
     res = su_obstruction(g, args.budget, args.level, timeout=args.timeout)
     payload: dict = {"status": res.status}
     if res.kind is not None:
@@ -301,12 +289,8 @@ def _cmd_verify(args) -> int:
         ok, errs = verify_model(_plain(g), h, sio.model_from_json(model_d))
     elif args.kind == "marked-minor":
         model_d, pid_d = _embedded_model(d)
-        h = _verify_pattern(args, pid_d)
-        if not isinstance(h, MarkedGraph):
-            h = MarkedGraph(h, frozenset())
-        host = g if isinstance(g, MarkedGraph) else MarkedGraph(g, frozenset())
-        model = sio.model_from_json(model_d)
-        ok, errs = verify_marked_model(host, h, model)
+        h = _marked(_verify_pattern(args, pid_d))
+        ok, errs = verify_marked_model(_marked(g), h, sio.model_from_json(model_d))
     elif args.kind == "rotation":
         # accept either a bare rotation file or a planar/genus payload
         while isinstance(d.get("rotation"), dict) and "rotation" in d["rotation"]:
@@ -393,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("pattern")
     sp.add_argument("-n", "--level", type=int, default=None)
     sp.add_argument("--timeout", type=float, required=True)
-    sp.set_defaults(func=_cmd_marked_minor)
+    sp.set_defaults(func=_cmd_minor)
 
     sp = sub.add_parser(
         "outerplanar", parents=[common], help="relative outerplanarity"

@@ -2,10 +2,24 @@
 perturbation of a base class (a flaw set) or returns a verified witness
 pattern at the requested level.
 
-The structure searches (stars, combs, ladders, fans) feed the witness
-side.  They are sound by construction: everything returned has been
-checked against the host graph, so a caller never needs to trust the
-search heuristics themselves.
+Every engine has one shape (_dichotomy): a smallest flaw set of size at
+most k if there is one, else the first pattern of a fixed list found in
+the graph, else "budget-exhausted" with a note naming the flaw search
+that failed.  The witness patterns, in the order tried:
+
+- forest_edge_dichotomy: omegaK3, veeK3, K2w;
+- forest_contract_dichotomy: omegaK3, veeK3;
+- almost_outerplanar_dichotomy: omegaK4, omegaK23, veeK4, G1, G2, K2w;
+- planar_vertex_flaws: sigma(1), sigma(2) (n disjoint K5, n disjoint K33).
+
+K2w comes from two-terminal path packings, every other pattern from
+packing copies of its block; each model is re-verified before it is
+returned.
+
+The structure searches (stars, combs, two-stars, dominating sets,
+double-stars, fans, ladders) are sound by construction: every structure
+is re-checked with verify_comb before it is returned, so a caller never
+needs to trust the search heuristics themselves.
 """
 
 from __future__ import annotations
@@ -83,8 +97,10 @@ def _is_path(g: Graph, p: tuple[int, ...]) -> bool:
 
 def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, list[str]]:
     """Re-check a CombStructure against the host from scratch."""
-    errs: list[str] = []
     paths = s.carrier.paths
+    errs = [f"path {i} is empty" for i, p in enumerate(paths) if not p]
+    if errs:
+        return False, errs
 
     def path_checks(require_start=None, end_in=None, min_len=1):
         for i, p in enumerate(paths):
@@ -97,14 +113,17 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
             if end_in is not None and p[-1] not in end_in:
                 errs.append(f"path {i} does not end in the target set")
 
+    def pairwise(shared, msg):
+        for i, j in itertools.combinations(range(len(paths)), 2):
+            if set(paths[i]) & set(paths[j]) != shared:
+                errs.append(msg.format(i, j))
+
     if s.kind in ("star", "two-star"):
         if len(s.centers) != 1:
             return False, ["star needs exactly one center"]
         c = s.centers[0]
         path_checks(require_start=c, end_in=u, min_len=2 if s.kind == "star" else 3)
-        for i, j in itertools.combinations(range(len(paths)), 2):
-            if set(paths[i]) & set(paths[j]) != {c}:
-                errs.append(f"paths {i},{j} meet outside the center")
+        pairwise({c}, "paths {},{} meet outside the center")
         if len(paths) < s.level:
             errs.append(f"only {len(paths)} paths for level {s.level}")
     elif s.kind == "comb":
@@ -123,9 +142,7 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
                 errs.append(f"tooth {i} does not end at a marked vertex")
             if set(p[1:]) & sset:
                 errs.append(f"tooth {i} re-enters the spine")
-        for i, j in itertools.combinations(range(len(paths)), 2):
-            if set(paths[i]) & set(paths[j]):
-                errs.append(f"teeth {i},{j} intersect")
+        pairwise(set(), "teeth {},{} intersect")
         if len(paths) < s.level:
             errs.append(f"only {len(paths)} teeth for level {s.level}")
     elif s.kind == "double-star":
@@ -141,9 +158,7 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
                 errs.append(f"path {i} has no interior")
             elif not set(p[1:-1]) & u:
                 errs.append(f"path {i} has no marked interior vertex")
-        for i, j in itertools.combinations(range(len(paths)), 2):
-            if set(paths[i]) & set(paths[j]) != {x, y}:
-                errs.append(f"paths {i},{j} meet in the interior")
+        pairwise({x, y}, "paths {},{} meet in the interior")
         if len(paths) < s.level:
             errs.append(f"only {len(paths)} paths for level {s.level}")
     elif s.kind == "ladder":
@@ -162,9 +177,7 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
                 errs.append(f"rung {i} endpoints off the spines")
             if set(p[1:-1]) & body:
                 errs.append(f"rung {i} passes through a spine")
-        for i, j in itertools.combinations(range(len(paths)), 2):
-            if set(paths[i]) & set(paths[j]):
-                errs.append(f"rungs {i},{j} intersect")
+        pairwise(set(), "rungs {},{} intersect")
         touched = body | {v for p in paths for v in p}
         if len(touched & u) < s.level:
             errs.append("not enough marked vertices on the ladder")
@@ -187,9 +200,7 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
                 errs.append(f"leg {i} does not run apex-to-spine")
             if set(p[1:-1]) & sset:
                 errs.append(f"leg {i} passes through the spine")
-        for i, j in itertools.combinations(range(len(paths)), 2):
-            if set(paths[i]) & set(paths[j]) != {d}:
-                errs.append(f"legs {i},{j} meet outside the apex")
+        pairwise({d}, "legs {},{} meet outside the apex")
         touched = sset | {d} | {v for p in paths for v in p}
         if len(touched & u) < s.level:
             errs.append("not enough marked vertices on the fan")
@@ -198,7 +209,10 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
     elif s.kind == "dominating-set":
         covered = set()
         for c in s.centers:
-            covered |= {c} | set(g.neighbors(c))
+            if c not in g.vertices:
+                errs.append(f"designated vertex {c} is not in the graph")
+            else:
+                covered |= {c} | set(g.neighbors(c))
         if not u <= covered:
             errs.append("designated vertices do not dominate the marks")
         if len(s.centers) != s.level:
@@ -208,9 +222,48 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
     return not errs, errs
 
 
+def _structure(
+    g: Graph, u: frozenset[int], kind: str, paths, spines=(), centers=(), level: int = 0
+) -> CombStructure:
+    """Build a CombStructure and re-check it against the host."""
+    s = CombStructure(kind, PathSystem(tuple(paths), frozenset()), tuple(spines),
+                      tuple(centers), level)
+    ok, errs = verify_comb(g, u, s)
+    assert ok, errs
+    return s
+
+
+def _marks_in(g: Graph, u) -> frozenset[int]:
+    u = frozenset(u)
+    if not u <= g.vertices:
+        raise ValueError("marked vertices must lie in the graph")
+    return u
+
+
+def _smallest_flaw(items, k: int, fixes) -> tuple | None:
+    """The first subset of at most k items, by size and then in
+    combinations order, on which fixes holds; None when there is none."""
+    for size in range(min(k, len(items)) + 1):
+        for subset in itertools.combinations(items, size):
+            if fixes(subset):
+                return subset
+    return None
+
+
 def _star_paths(g: Graph, v: int, u: frozenset[int]) -> list[tuple[int, ...]]:
     """Paths from v to u, pairwise meeting exactly at v, maximal count."""
     return [(v,) + p for p in u_star_search(MarkedGraph(g, u), v, 1).paths]
+
+
+def _star_search(g: Graph, u: frozenset[int], n: int, kind: str) -> CombStructure | None:
+    """The first vertex with n star paths to the marks; a two-star takes
+    only paths with an interior vertex."""
+    min_len = 2 if kind == "star" else 3
+    for v in g.sorted_vertices():
+        paths = [p for p in _star_paths(g, v, u) if len(p) >= min_len]
+        if len(paths) >= n:
+            return _structure(g, u, kind, paths[:n], centers=(v,), level=n)
+    return None
 
 
 def _bfs_tree(g: Graph, comp: frozenset[int]) -> dict[int, list[int]]:
@@ -227,20 +280,23 @@ def _bfs_tree(g: Graph, comp: frozenset[int]) -> dict[int, list[int]]:
                 queue.append(y)
     return adj
 
-def _tree_path(adj: dict[int, list[int]], a: int, b: int) -> tuple[int, ...]:
-    prev = {a: a}
-    queue = [a]
+
+def _tree_walk(adj: dict[int, list[int]], start: int, goal, avoid=frozenset()):
+    """The path from start to the first vertex, in BFS order, that goal
+    accepts, never entering avoid; None when there is none."""
+    prev = {start: start}
+    queue = [start]
     for x in queue:
-        if x == b:
-            break
-        for y in adj[x]:
-            if y not in prev:
+        if goal(x):
+            path = [x]
+            while path[-1] != start:
+                path.append(prev[path[-1]])
+            return tuple(reversed(path))
+        for y in adj.get(x, []):
+            if y not in prev and y not in avoid:
                 prev[y] = x
                 queue.append(y)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))
+    return None
 
 
 def _comb_on_spine(
@@ -248,32 +304,8 @@ def _comb_on_spine(
 ) -> list[tuple[int, ...]]:
     """One tooth per spine vertex whose hanging branch reaches a mark."""
     sset = set(spine)
-    teeth = []
-    for p in spine:
-        if p in u:
-            teeth.append((p,))
-            continue
-        # BFS away from the spine; stop at the first marked vertex
-        prev = {p: p}
-        queue = [p]
-        hit = None
-        for x in queue:
-            for y in adj.get(x, []):
-                if y in prev or y in sset:
-                    continue
-                prev[y] = x
-                if y in u:
-                    hit = y
-                    break
-                queue.append(y)
-            if hit is not None:
-                break
-        if hit is not None:
-            tooth = [hit]
-            while tooth[-1] != p:
-                tooth.append(prev[tooth[-1]])
-            teeth.append(tuple(reversed(tooth)))
-    return teeth
+    teeth = (_tree_walk(adj, p, u.__contains__, sset) for p in spine)
+    return [t for t in teeth if t is not None]
 
 
 def _comb_search(g: Graph, u: frozenset[int], n: int) -> CombStructure | None:
@@ -284,17 +316,12 @@ def _comb_search(g: Graph, u: frozenset[int], n: int) -> CombStructure | None:
         adj = _bfs_tree(g, comp)
         # a single marked vertex is a trivial comb; only useful at level 1
         singles = [(v,) for v in sorted(comp & u)] if n == 1 else []
-        pairs = (_tree_path(adj, a, b)
+        pairs = (_tree_walk(adj, a, b.__eq__)
                  for a, b in itertools.combinations(sorted(comp), 2))
         for spine in itertools.chain(singles, pairs):
             teeth = _comb_on_spine(adj, spine, u)
             if len(teeth) >= n:
-                cand = CombStructure(
-                    "comb", PathSystem(tuple(teeth), frozenset()), (spine,), (), n
-                )
-                ok, errs = verify_comb(g, u, cand)
-                assert ok, errs
-                return cand
+                return _structure(g, u, "comb", teeth, spines=(spine,), level=n)
     return None
 
 
@@ -306,55 +333,26 @@ def star_comb(g: Graph, u: frozenset[int], n: int) -> CombStructure | None:
     vertices one of the two always exists.  Returns None when neither
     search succeeds; the caller treats that as budget exhaustion.
     """
-    u = frozenset(u)
-    if not u <= g.vertices:
-        raise ValueError("marked vertices must lie in the graph")
+    u = _marks_in(g, u)
     if n < 1:
         raise ValueError("level must be >= 1")
-    for v in g.sorted_vertices():
-        paths = _star_paths(g, v, u)
-        if len(paths) >= n:
-            cand = CombStructure(
-                "star", PathSystem(tuple(paths[:n]), frozenset()), (), (v,), n
-            )
-            ok, errs = verify_comb(g, u, cand)
-            assert ok, errs
-            return cand
-    return _comb_search(g, u, n)
+    return _star_search(g, u, n, "star") or _comb_search(g, u, n)
 
 
 def two_star_search(g: Graph, u: frozenset[int], n: int, d: int) -> CombStructure | None:
     """Find a comb, a star with all edges subdivided, or a dominating set
     of size at most d for the marks.  Returns None when all three fail."""
-    u = frozenset(u)
-    if not u <= g.vertices:
-        raise ValueError("marked vertices must lie in the graph")
-    comb = _comb_search(g, u, n)
-    if comb is not None:
-        return comb
-    for v in g.sorted_vertices():
-        long_paths = [p for p in _star_paths(g, v, u) if len(p) >= 3]
-        if len(long_paths) >= n:
-            cand = CombStructure(
-                "two-star", PathSystem(tuple(long_paths[:n]), frozenset()), (), (v,), n
-            )
-            ok, errs = verify_comb(g, u, cand)
-            assert ok, errs
-            return cand
-    verts = g.sorted_vertices()
-    for size in range(min(d, len(verts)) + 1):
-        for w in itertools.combinations(verts, size):
-            covered = set()
-            for c in w:
-                covered |= {c} | set(g.neighbors(c))
-            if u <= covered:
-                cand = CombStructure(
-                    "dominating-set", PathSystem((), frozenset()), (), w, size
-                )
-                ok, errs = verify_comb(g, u, cand)
-                assert ok, errs
-                return cand
-    return None
+    u = _marks_in(g, u)
+    found = _comb_search(g, u, n) or _star_search(g, u, n, "two-star")
+    if found is not None:
+        return found
+    w = _smallest_flaw(
+        g.sorted_vertices(), d,
+        lambda w: u <= set(w).union(*(g.neighbors(c) for c in w)),
+    )
+    if w is None:
+        return None
+    return _structure(g, u, "dominating-set", (), centers=w, level=len(w))
 
 
 def _cycles(g: Graph, cap: int = 4000) -> list[tuple[int, ...]]:
@@ -366,19 +364,20 @@ def _cycles(g: Graph, cap: int = 4000) -> list[tuple[int, ...]]:
     return out
 
 
+def _through_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
+    """A maximum family of internally disjoint x-y paths, each with an
+    interior vertex."""
+    sys = max_disjoint_paths(g, {x}, {y}, internal_only=True)
+    return [p for p in sys.paths if len(p) >= 3]
+
+
 def _double_star_at(
     g: Graph, u: frozenset[int], x: int, y: int, n: int
 ) -> CombStructure | None:
-    sys = max_disjoint_paths(g, {x}, {y}, internal_only=True)
-    good = [p for p in sys.paths if len(p) >= 3 and set(p[1:-1]) & u]
+    good = [p for p in _through_paths(g, x, y) if set(p[1:-1]) & u]
     if len(good) < n:
         return None
-    cand = CombStructure(
-        "double-star", PathSystem(tuple(good), frozenset()), (), (x, y), n
-    )
-    ok, errs = verify_comb(g, u, cand)
-    assert ok, errs
-    return cand
+    return _structure(g, u, "double-star", good, centers=(x, y), level=n)
 
 
 def _fan_at(g: Graph, u: frozenset[int], d: int, n: int) -> CombStructure | None:
@@ -388,12 +387,7 @@ def _fan_at(g: Graph, u: frozenset[int], d: int, n: int) -> CombStructure | None
         legs = [(d, v) for v in c if v in nbrs]
         marked = (set(c) | {d}) & u
         if len(legs) >= n and len(marked) >= n:
-            cand = CombStructure(
-                "fan", PathSystem(tuple(legs), frozenset()), (c,), (d,), n
-            )
-            ok, errs = verify_comb(g, u, cand)
-            assert ok, errs
-            return cand
+            return _structure(g, u, "fan", legs, spines=(c,), centers=(d,), level=n)
     return None
 
 
@@ -427,12 +421,7 @@ def _ladder_pair(
     touched = body | {v for p in rungs for v in p}
     if len(rungs) < n or len(touched & u) < n:
         return None
-    cand = CombStructure(
-        "ladder", PathSystem(tuple(rungs), frozenset()), (c1, c2), (), n
-    )
-    ok, errs = verify_comb(g, u, cand)
-    assert ok, errs
-    return cand
+    return _structure(g, u, "ladder", rungs, spines=(c1, c2), level=n)
 
 
 def two_connected_structures(g: Graph, u: frozenset[int], n: int) -> CombStructure | None:
@@ -443,9 +432,7 @@ def two_connected_structures(g: Graph, u: frozenset[int], n: int) -> CombStructu
     from long-cycle enumeration.  None means no structure was found at
     this level, not that none exists.
     """
-    u = frozenset(u)
-    if not u <= g.vertices:
-        raise ValueError("marked vertices must lie in the graph")
+    u = _marks_in(g, u)
     for x, y in itertools.combinations(g.sorted_vertices(), 2):
         found = _double_star_at(g, u, x, y, n)
         if found is not None:
@@ -460,15 +447,6 @@ def two_connected_structures(g: Graph, u: frozenset[int], n: int) -> CombStructu
 
 
 # --- witness assembly -------------------------------------------------
-
-def _checked(g: Graph, pid: PatternId, model: MinorModel) -> Witness:
-    pattern = build_pattern(pid)
-    if isinstance(pattern, MarkedGraph):
-        pattern = pattern.graph
-    ok, errs = verify_model(g, pattern, model)
-    assert ok, errs
-    return pid, model
-
 
 def _pack_witness(g: Graph, pid: PatternId) -> Witness | None:
     """Pack pid.level copies of the pattern's block, disjoint or through
@@ -487,15 +465,14 @@ def _pack_witness(g: Graph, pid: PatternId) -> Witness | None:
         res = pack_bouquet(g, block, hub, pid.level)
     if not res.complete:
         return None
-    return _checked(g, pid, glue_models(maps, res.models))
+    return glue_models(maps, res.models)
 
 
-def _k2n_witness(g: Graph, n: int) -> Witness | None:
+def _k2n_witness(g: Graph, n: int) -> MinorModel | None:
     """n internally disjoint two-terminal paths of length >= 2 give a
     K_{2,n} model with the path interiors as the n-side branch sets."""
     for x, y in itertools.combinations(g.sorted_vertices(), 2):
-        sys = max_disjoint_paths(g, {x}, {y}, internal_only=True)
-        mids = [p for p in sys.paths if len(p) >= 3]
+        mids = _through_paths(g, x, y)
         if len(mids) < n:
             continue
         bsets = {0: frozenset({x}), 1: frozenset({y})}
@@ -505,17 +482,29 @@ def _k2n_witness(g: Graph, n: int) -> Witness | None:
             bsets[pv] = frozenset(p[1:-1])
             conn[norm_edge(0, pv)] = norm_edge(p[0], p[1])
             conn[norm_edge(1, pv)] = norm_edge(p[-2], p[-1])
-        model = MinorModel(bsets, conn)
-        return _checked(g, PatternId("aux", kind="K2w", level=n), model)
+        return MinorModel(bsets, conn)
     return None
 
 
-def _first_witness(searches) -> Witness | None:
-    for thunk in searches:
-        found = thunk()
-        if found is not None:
-            return found
-    return None
+def _dichotomy(
+    g: Graph, n: int, flaw, witnesses: list[PatternId], note: str
+) -> DichotomyOutcome:
+    """The one engine shape: the flaw set if there is one, else the first
+    of the witness patterns found in g (each model re-verified), else a
+    give-up carrying the note."""
+    if flaw is not None:
+        return DichotomyOutcome("flaw-set", flaw=frozenset(flaw))
+    for pid in witnesses:
+        model = _k2n_witness(g, pid.level) if pid.kind == "K2w" else _pack_witness(g, pid)
+        if model is not None:
+            ok, errs = verify_model(g, build_pattern(pid), model)
+            assert ok, errs
+            return DichotomyOutcome("witness", witness=(pid, model))
+    return DichotomyOutcome("budget-exhausted", detail=f"{note}, no witness at level {n}")
+
+
+def _aux(n: int, *kinds: str) -> list[PatternId]:
+    return [PatternId("aux", kind=kind, level=n) for kind in kinds]
 
 
 # --- the four engines -------------------------------------------------
@@ -531,45 +520,20 @@ def forest_edge_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
     witness: n disjoint triangles, n triangles on a shared vertex, or a
     K_{2,n}.  The flaw side is exact: it fires iff the cycle rank is at
     most k, and the flaw is the complement of a spanning forest."""
+    flaw = None
     if g.cycle_rank() <= k:
         flaw = frozenset(g.edges - _spanning_forest_edges(g))
-        return DichotomyOutcome("flaw-set", flaw=flaw)
-    found = _first_witness(
-        [
-            lambda: _pack_witness(g, PatternId("aux", kind="omegaK3", level=n)),
-            lambda: _pack_witness(g, PatternId("aux", kind="veeK3", level=n)),
-            lambda: _k2n_witness(g, n),
-        ]
-    )
-    if found is not None:
-        return DichotomyOutcome("witness", witness=found)
-    return DichotomyOutcome(
-        "budget-exhausted", detail=f"cycle rank exceeds {k}, no witness at level {n}"
-    )
+    return _dichotomy(g, n, flaw, _aux(n, "omegaK3", "veeK3", "K2w"),
+                      f"cycle rank exceeds {k}")
 
 
 def forest_contract_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
     """Either at most k edge contractions reach a forest, or a level-n
     triangle witness.  The flaw side enumerates contraction sets by size,
     so a returned flaw has minimum cardinality."""
-    edges = sorted(g.edges)
-    for size in range(min(k, len(edges)) + 1):
-        for fs in itertools.combinations(edges, size):
-            quotient, _ = contract(g, fs)
-            if quotient.cycle_rank() == 0:
-                return DichotomyOutcome("flaw-set", flaw=frozenset(fs))
-    found = _first_witness(
-        [
-            lambda: _pack_witness(g, PatternId("aux", kind="omegaK3", level=n)),
-            lambda: _pack_witness(g, PatternId("aux", kind="veeK3", level=n)),
-        ]
-    )
-    if found is not None:
-        return DichotomyOutcome("witness", witness=found)
-    return DichotomyOutcome(
-        "budget-exhausted",
-        detail=f"no contraction set of size <= {k}, no witness at level {n}",
-    )
+    flaw = _smallest_flaw(sorted(g.edges), k, lambda fs: contract(g, fs)[0].cycle_rank() == 0)
+    return _dichotomy(g, n, flaw, _aux(n, "omegaK3", "veeK3"),
+                      f"no contraction set of size <= {k}")
 
 
 def _outerplanar(g: Graph) -> bool:
@@ -580,50 +544,18 @@ def _outerplanar(g: Graph) -> bool:
 def almost_outerplanar_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
     """Either at most k edge deletions reach an outerplanar graph, or a
     level-n witness from the outerplanarity obstruction families."""
-    edges = sorted(g.edges)
-    for size in range(min(k, len(edges)) + 1):
-        for fs in itertools.combinations(edges, size):
-            if _outerplanar(g.remove_edges(fs)):
-                return DichotomyOutcome("flaw-set", flaw=frozenset(fs))
-    found = _first_witness(
-        [
-            lambda: _pack_witness(g, PatternId("aux", kind="omegaK4", level=n)),
-            lambda: _pack_witness(g, PatternId("aux", kind="omegaK23", level=n)),
-            lambda: _pack_witness(g, PatternId("aux", kind="veeK4", level=n)),
-            lambda: _pack_witness(g, PatternId("aux", kind="G1", level=n)),
-            lambda: _pack_witness(g, PatternId("aux", kind="G2", level=n)),
-            lambda: _k2n_witness(g, n),
-        ]
-    )
-    if found is not None:
-        return DichotomyOutcome("witness", witness=found)
-    return DichotomyOutcome(
-        "budget-exhausted",
-        detail=f"no deletion set of size <= {k}, no witness at level {n}",
-    )
+    flaw = _smallest_flaw(sorted(g.edges), k, lambda fs: _outerplanar(g.remove_edges(fs)))
+    witnesses = _aux(n, "omegaK4", "omegaK23", "veeK4", "G1", "G2", "K2w")
+    return _dichotomy(g, n, flaw, witnesses, f"no deletion set of size <= {k}")
 
 
 def planar_vertex_flaws(g: Graph, n: int, k: int) -> DichotomyOutcome:
     """Either a minimum vertex set W with g - W planar and |W| <= k, or
     n disjoint copies of K5 or K33.  The flaw side enumerates subsets by
     size, so a returned W is optimal."""
-    verts = g.sorted_vertices()
-    for size in range(min(k, len(verts)) + 1):
-        for w in itertools.combinations(verts, size):
-            if is_planar(g.remove_vertices(w)):
-                return DichotomyOutcome("flaw-set", flaw=frozenset(w))
-    found = _first_witness(
-        [
-            lambda: _pack_witness(g, PatternId("sigma", 1, n)),
-            lambda: _pack_witness(g, PatternId("sigma", 2, n)),
-        ]
-    )
-    if found is not None:
-        return DichotomyOutcome("witness", witness=found)
-    return DichotomyOutcome(
-        "budget-exhausted",
-        detail=f"no planarizing set of size <= {k}, no witness at level {n}",
-    )
+    flaw = _smallest_flaw(g.sorted_vertices(), k, lambda w: is_planar(g.remove_vertices(w)))
+    witnesses = [PatternId("sigma", 1, n), PatternId("sigma", 2, n)]
+    return _dichotomy(g, n, flaw, witnesses, f"no planarizing set of size <= {k}")
 
 
 # --- the classifier ---------------------------------------------------

@@ -15,6 +15,7 @@ from oracles import connected_graphs_on, random_tree
 from surfembed.core import (
     Graph,
     MarkedGraph,
+    PathSystem,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -36,7 +37,7 @@ from surfembed.dichotomy import (
 )
 from surfembed.decompose import verify_decomposition
 from surfembed.embeddings import RotationSystem, planarity
-from surfembed.minors import verify_model
+from surfembed.minors import find_minor, verify_model
 from surfembed.outerplanarity import NonPlanarInput, is_u_outerplanar
 from surfembed.patterns import aux_pattern, build_pattern, sigma
 
@@ -376,3 +377,92 @@ def test_classify_timeout_bounds_the_whole_call():
     assert out["elapsed"] < 10
     assert not out["certified"]
     assert any("deadline" in note for note in out["notes"])
+
+
+# a shape that passes each kind's arity checks, with one empty path
+_EMPTY_PATH_SHAPES = {
+    "star": ((), (0,)),
+    "two-star": ((), (0,)),
+    "comb": (((0, 1),), ()),
+    "double-star": ((), (0, 1)),
+    "ladder": (((0, 1), (2, 3)), ()),
+    "fan": (((1, 2),), (0,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EMPTY_PATH_SHAPES))
+def test_verify_comb_reports_empty_path(kind):
+    g = complete_graph(4)
+    spines, centers = _EMPTY_PATH_SHAPES[kind]
+    s = CombStructure(kind, PathSystem(((),), frozenset()), spines, centers, 1)
+    ok, errs = verify_comb(g, g.vertices, s)
+    assert not ok
+    assert "path 0 is empty" in errs
+
+
+def test_verify_comb_reports_dominating_vertex_off_the_graph():
+    g = _star(3)
+    s = CombStructure("dominating-set", PathSystem((), frozenset()), (), (0, 99), 2)
+    ok, errs = verify_comb(g, frozenset([1, 2, 3]), s)
+    assert not ok
+    assert "designated vertex 99 is not in the graph" in errs
+
+
+# (engine, host, family returned, later families the host also contains)
+_WITNESS_ORDER = [
+    (forest_edge_dichotomy, lambda: complete_graph(6), "omegaK3", ("veeK3", "K2w")),
+    (forest_edge_dichotomy, lambda: complete_graph(5), "veeK3", ("K2w",)),
+    (forest_contract_dichotomy, lambda: complete_graph(6), "omegaK3", ("veeK3",)),
+    (almost_outerplanar_dichotomy,
+     lambda: disjoint_union([complete_graph(4)] * 2 + [complete_bipartite(2, 3)] * 2),
+     "omegaK4", ("omegaK23", "K2w")),
+    (almost_outerplanar_dichotomy,
+     lambda: disjoint_union([aux_pattern("omegaK23", 2), aux_pattern("veeK4", 2)]),
+     "omegaK23", ("veeK4", "K2w")),
+    (almost_outerplanar_dichotomy,
+     lambda: disjoint_union([aux_pattern("veeK4", 2), aux_pattern("G1", 2)]),
+     "veeK4", ("G1", "K2w")),
+    (almost_outerplanar_dichotomy, lambda: aux_pattern("G1", 2), "G1", ("K2w",)),
+    (almost_outerplanar_dichotomy, lambda: aux_pattern("G2", 2), "G2", ("K2w",)),
+]
+
+
+@pytest.mark.parametrize(
+    "engine, host, first, later", _WITNESS_ORDER,
+    ids=[f"{engine.__name__}-{first}" for engine, _, first, _ in _WITNESS_ORDER],
+)
+def test_engine_returns_first_witness_family(engine, host, first, later):
+    g = host()
+    out = engine(g, 2, 0)
+    assert out.tag == "witness"
+    pid, model = out.witness
+    assert pid.kind == first and pid.level == 2
+    ok, errs = verify_model(g, aux_pattern(first, 2), model)
+    assert ok, errs
+    for kind in later:
+        assert find_minor(g, aux_pattern(kind, 2), timeout=60).found, kind
+
+
+def test_planar_vertex_tries_k5_before_k33():
+    k5, k33 = complete_graph(5), complete_bipartite(3, 3)
+    # both families are present as disjoint components; K5s come first
+    out = planar_vertex_flaws(disjoint_union([k5, k5, k33, k33]), 2, 0)
+    assert out.witness[0].index == 1
+    # one K5 is too few for level 2, so the K33 family answers
+    out = planar_vertex_flaws(disjoint_union([k5, k33, k33]), 2, 0)
+    assert out.witness[0].index == 2
+
+
+def test_engine_budget_notes():
+    outs = [
+        forest_edge_dichotomy(cycle_graph(3), 2, 0),
+        forest_contract_dichotomy(complete_bipartite(2, 5), 2, 1),
+        almost_outerplanar_dichotomy(complete_graph(4), 3, 0),
+        planar_vertex_flaws(complete_graph(6), 2, 0),
+    ]
+    assert [(o.tag, o.detail) for o in outs] == [
+        ("budget-exhausted", "cycle rank exceeds 0, no witness at level 2"),
+        ("budget-exhausted", "no contraction set of size <= 1, no witness at level 2"),
+        ("budget-exhausted", "no deletion set of size <= 0, no witness at level 3"),
+        ("budget-exhausted", "no planarizing set of size <= 0, no witness at level 2"),
+    ]

@@ -330,3 +330,13 @@ def test_cli_decompose_timeout_reports_timeout(tmp_path, capsys):
     host = _write(tmp_path, "sigma5_3.txt", format_edge_list(sigma(5, 3)))
     assert main(["decompose", "--json", "--budget", "2", "--timeout", "1", host]) == 2
     assert json.loads(capsys.readouterr().out)["status"] == "timeout"
+
+
+def test_cli_verify_comb_with_empty_path_is_invalid(tmp_path, capsys):
+    star = _write(tmp_path, "star3.txt", "0 1\n0 2\n0 3\n")
+    witness = {"kind": "star", "paths": [[]], "centers": [0], "level": 1}
+    wfile = _write(tmp_path, "empty.json", json.dumps(witness))
+    assert main(["verify", "comb", "--graph", star, "--witness", wfile]) == 1
+    captured = capsys.readouterr()
+    assert "invalid" in captured.out
+    assert "Traceback" not in captured.out + captured.err
