@@ -259,7 +259,10 @@ def _cmd_starcomb(args) -> int:
 
 
 def _witness_payload(path: str) -> dict:
-    return json.loads(_read_text(path))
+    d = json.loads(_read_text(path))
+    if not isinstance(d, dict):
+        raise ValueError("witness JSON must be an object")
+    return d
 
 
 def _embedded_model(d: dict):

@@ -17,6 +17,20 @@ from .minors import MarkedMinorModel, MinorModel
 from .patterns import PatternId
 
 
+def _int(x, what: str) -> int:
+    """Every JSON reader checks its vertices and levels here, so mistyped
+    input raises ValueError, not a TypeError deep in a verifier."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _ints(xs, what: str) -> tuple[int, ...]:
+    if not isinstance(xs, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, got {xs!r}")
+    return tuple(_int(x, f"each entry of {what}") for x in xs)
+
+
 def parse_edge_list(text: str) -> Graph | MarkedGraph:
     """Read the text format: one "u v" per line, # comments, M lines.
 
@@ -80,8 +94,11 @@ def graph_to_json(g: Graph | MarkedGraph) -> dict:
 
 
 def graph_from_json(d: dict) -> Graph | MarkedGraph:
-    g = Graph(d.get("vertices", ()), [tuple(e) for e in d.get("edges", ())])
-    marked = frozenset(d.get("marked", ()))
+    g = Graph(
+        _ints(d.get("vertices", []), "vertices"),
+        [_ints(e, "edge") for e in d.get("edges", [])],
+    )
+    marked = frozenset(_ints(d.get("marked", []), "marked"))
     if marked:
         return MarkedGraph(g, marked)
     return g
@@ -103,7 +120,7 @@ def rotation_to_json(rho: RotationSystem) -> dict:
 
 
 def rotation_from_json(d: dict) -> RotationSystem:
-    rot = {int(v): tuple(nbrs) for v, nbrs in d["rotation"].items()}
+    rot = {int(v): _ints(nbrs, f"rotation at {v}") for v, nbrs in d["rotation"].items()}
     return RotationSystem.from_dict(rot)
 
 
@@ -122,13 +139,17 @@ def model_to_json(model: MinorModel) -> dict:
 
 
 def model_from_json(d: dict) -> MinorModel:
-    bsets = {int(pv): frozenset(bs) for pv, bs in d["branch_sets"].items()}
+    bsets = {
+        int(pv): frozenset(_ints(bs, f"branch set {pv}"))
+        for pv, bs in d["branch_sets"].items()
+    }
     conn = {}
     for key, e in d.get("edges", {}).items():
         u, v = key.split("-")
-        conn[norm_edge(int(u), int(v))] = (e[0], e[1])
+        a, b = _ints(e, f"edge {key}")
+        conn[norm_edge(int(u), int(v))] = (a, b)
     if "host_marked" in d:
-        return MarkedMinorModel(bsets, conn, frozenset(d["host_marked"]))
+        return MarkedMinorModel(bsets, conn, frozenset(_ints(d["host_marked"], "host_marked")))
     return MinorModel(bsets, conn)
 
 
@@ -142,7 +163,13 @@ def pattern_id_to_json(pid: PatternId) -> dict:
 
 
 def pattern_id_from_json(d: dict) -> PatternId:
-    return PatternId(d["family"], d.get("index", 0), d.get("level"), d.get("kind"))
+    level = d.get("level")
+    return PatternId(
+        d["family"],
+        _int(d.get("index", 0), "pattern index"),
+        None if level is None else _int(level, "pattern level"),
+        d.get("kind"),
+    )
 
 
 def kuratowski_to_json(w: KuratowskiWitness) -> dict:
@@ -157,9 +184,9 @@ def kuratowski_from_json(d: dict) -> KuratowskiWitness:
     paths = []
     for key, p in d["paths"].items():
         i, j = key.split("-")
-        paths.append(((int(i), int(j)), tuple(p)))
+        paths.append(((int(i), int(j)), _ints(p, f"path {key}")))
     return KuratowskiWitness(
-        d["kind"], tuple(d["branch_vertices"]), tuple(sorted(paths))
+        d["kind"], _ints(d["branch_vertices"], "branch_vertices"), tuple(sorted(paths))
     )
 
 
@@ -176,7 +203,7 @@ def decomposition_from_json(d: dict) -> Decomposition:
     if any(isinstance(p, MarkedGraph) for p in pieces):
         raise ValueError("decomposition pieces carry no markings")
     core = graph_from_json(d["core"])
-    overlaps = [(i, j, frozenset(shared)) for i, j, shared in d.get("overlaps", [])]
+    overlaps = [(i, j, frozenset(_ints(s, "overlap"))) for i, j, s in d.get("overlaps", [])]
     return Decomposition(tuple(pieces), core, tuple(overlaps))
 
 
@@ -193,10 +220,10 @@ def comb_to_json(s: CombStructure) -> dict:
 def comb_from_json(d: dict) -> CombStructure:
     return CombStructure(
         d["kind"],
-        PathSystem(tuple(tuple(p) for p in d.get("paths", ())), frozenset()),
-        tuple(tuple(p) for p in d.get("spines", ())),
-        tuple(d.get("centers", ())),
-        d.get("level", 0),
+        PathSystem(tuple(_ints(p, "path") for p in d.get("paths", [])), frozenset()),
+        tuple(_ints(p, "spine") for p in d.get("spines", [])),
+        _ints(d.get("centers", []), "centers"),
+        _int(d.get("level", 0), "level"),
     )
 
 

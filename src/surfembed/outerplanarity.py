@@ -1,18 +1,22 @@
 """Relative outerplanarity: cone planarity tests, theta extraction from
-Kuratowski witnesses, star searches, and the staged obstruction search.
+Kuratowski witnesses, star searches, and the obstruction search.
 
 Everything here works over marked graphs (g, U).  The cone over U is the
 basic probe: (g, U) is "nice" at genus budget b when the cone embeds in
-Euler genus <= b.  When it does not, the routines below hunt for one of
-the catalog witnesses (a U/U'-bouquet, an omega-theta packing, or the
-K_{2,n} double star) at a requested level n, or certify a residue.
+Euler genus <= b.  When it does not, a non-planar cone's Kuratowski
+witness decodes into a marked theta, and `su_obstruction` peels one
+greedy stream of such thetas (`_peel`: extract, delete the support,
+repeat).  From that stream it reads a catalog witness at a requested
+level n (an omega-theta packing, a U/U'-bouquet, or the K_{2,n} double
+star) or certifies a residue.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Graph,
@@ -123,6 +127,14 @@ class SuResult:
         return self.status == "witness"
 
 
+def _cone_probe(g: MarkedGraph) -> RotationSystem | ThetaWitness:
+    """Planarity of the cone over the marks of planar g: the cone's
+    rotation system, or the theta decoded from its Kuratowski witness."""
+    cg, apex = cone(g.graph, g.marked)
+    res = planarity(cg)
+    return res.rotation if res.planar else extract_theta(g, res.witness, apex)
+
+
 def is_u_outerplanar(g: Graph, u: Iterable[int]) -> RotationSystem | ThetaWitness:
     """Decide whether planar g embeds with all of u on a common face.
 
@@ -131,99 +143,60 @@ def is_u_outerplanar(g: Graph, u: Iterable[int]) -> RotationSystem | ThetaWitnes
     face).  Otherwise returns a verified theta witness inside (g, u).
     Non-planar g raises NonPlanarInput carrying the Kuratowski witness.
     """
-    u = frozenset(u)
-    stray = u - g.vertices
-    if stray:
-        raise ValueError(f"marked vertices not in graph: {sorted(stray)}")
+    mg = MarkedGraph(g, frozenset(u))
     if not is_planar(g):
         raise NonPlanarInput(planarity(g).witness)
-    cg, apex = cone(g, u)
-    res = planarity(cg)
-    if res.planar:
-        return res.rotation
-    return extract_theta(MarkedGraph(g, u), res.witness, apex)
+    return _cone_probe(mg)
 
 
 def extract_theta(g: MarkedGraph, w: KuratowskiWitness, cone_v: int) -> ThetaWitness:
     """Decode a Kuratowski witness of the cone into a minimal marked pattern.
 
-    Four cases on the role of the cone vertex in the witness: a K5 branch
-    vertex gives theta1, a K5 subdivision vertex theta2, a K33 branch
-    vertex theta3, a K33 subdivision vertex theta4.  Path interiors fold
-    into the branch set with the smaller pattern label, the connecting
-    edge is taken at the far end, and the two halves of a split path keep
-    the neighbor of the cone vertex, which is marked by construction.
-    The result is verified before returning.
+    The role of the cone vertex names the pattern: a K5 branch vertex
+    gives theta1, a K5 subdivision vertex theta2, a K33 branch vertex
+    theta3, a K33 subdivision vertex theta4.  The case only fixes the
+    order in which the other branch vertices become pattern vertices; one
+    rule then builds the model.  A path through the cone vertex is split
+    there, and each half joins the branch set of its own end (its
+    neighbor of the cone vertex is marked by construction).  Every other
+    path's interior folds into the branch set with the smaller pattern
+    label, and its connecting edge is taken at the far end.  The result
+    is verified before returning.
     """
-    bv = list(w.branch_vertices)
+    bv = w.branch_vertices
     pd = w.path_dict()
-    if cone_v not in w.all_vertices():
+    through = [e for e, p in sorted(pd.items()) if cone_v in p]
+    if not through:
         raise ValueError("cone vertex does not lie on the witness")
-
-    bsets: dict[int, set[int]] = {}
-    conn: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def absorb(ti: int, tj: int, p: tuple[int, ...]) -> None:
-        # p runs from ti's branch vertex to tj's
-        lo, hi = min(ti, tj), max(ti, tj)
-        bsets[lo].update(p[1:-1])
-        if tj == hi:
-            conn[(lo, hi)] = norm_edge(p[-2], p[-1])
-        else:
-            conn[(lo, hi)] = norm_edge(p[0], p[1])
-
     if cone_v in bv:
         a = bv.index(cone_v)
+        rest = [i for i in range(len(bv)) if i != a]
         if w.kind == "K5":
-            idx = 1
-            m = {pi: t for t, pi in enumerate(i for i in range(5) if i != a)}
-        else:
-            idx = 3
-            side = range(0, 3) if a < 3 else range(3, 6)
-            mates = [i for i in side if i != a]
-            across = [i for i in range(6) if (i < 3) != (a < 3)]
-            m = {pi: t for t, pi in enumerate(mates)}
-            m.update({pi: 2 + t for t, pi in enumerate(across)})
-        for pi, t in sorted(m.items()):
-            key = norm_edge(pi, a)
-            if key in pd:
-                bsets[t] = {bv[pi], *pd[key][1:-1]}
-            else:
-                bsets[t] = {bv[pi]}
-        for (i, j), p in sorted(pd.items()):
-            if a in (i, j):
-                continue
-            absorb(m[i], m[j], p)
+            idx, order = 1, rest
+        else:  # side mates of a first, then the far side
+            idx, order = 3, sorted(rest, key=lambda i: (i < 3) != (a < 3))
     else:
-        owner, p0 = next(
-            (e, p) for e, p in sorted(pd.items()) if cone_v in p[1:-1]
-        )
-        e1, e2 = owner
-        k = p0.index(cone_v)
+        e1, e2 = through[0]
+        rest = [i for i in range(len(bv)) if i not in (e1, e2)]
         if w.kind == "K5":
-            idx = 2
-            m = {e1: 0, e2: 1}
-            rest = [i for i in range(5) if i not in owner]
-            m.update({pi: 2 + t for t, pi in enumerate(rest)})
-        else:
-            idx = 4
-            m = {e1: 0, e2: 3}
-            m.update({pi: 1 + t for t, pi in enumerate(i for i in range(3) if i != e1)})
-            m.update({pi: 4 + t for t, pi in enumerate(i for i in range(3, 6) if i != e2)})
-        for pi, t in sorted(m.items()):
-            if pi == e1:
-                bsets[t] = {bv[e1], *p0[1:k]}
-            elif pi == e2:
-                bsets[t] = {bv[e2], *p0[k + 1 : -1]}
-            else:
-                bsets[t] = {bv[pi]}
-        for (i, j), p in sorted(pd.items()):
-            if (i, j) == owner:
-                continue
-            absorb(m[i], m[j], p)
-
+            idx, order = 2, [e1, e2, *rest]
+        else:  # each end of the split path leads its own side
+            idx, order = 4, [e1, *rest[:2], e2, *rest[2:]]
+    m = {pi: t for t, pi in enumerate(order)}
+    bsets = {m[pi]: {bv[pi]} for pi in sorted(m)}
+    conn: dict[tuple[int, int], tuple[int, int]] = {}
+    for (i, j), p in sorted(pd.items()):
+        if cone_v in p:
+            k = p.index(cone_v)
+            for end, half in ((i, p[:k]), (j, p[k + 1 :])):
+                if end in m:
+                    bsets[m[end]].update(half)
+            continue
+        lo, hi = sorted((m[i], m[j]))
+        bsets[lo].update(p[1:-1])
+        conn[(lo, hi)] = norm_edge(*(p[-2:] if m[j] == hi else p[:2]))
     model = MarkedMinorModel(
-        {t: frozenset(s) for t, s in bsets.items()}, dict(conn), g.marked
+        {t: frozenset(s) for t, s in bsets.items()}, conn, g.marked
     )
     ok, errs = verify_marked_model(g, theta(idx), model)
     assert ok, errs
@@ -238,10 +211,7 @@ def relative_genus(
     Raises BudgetExceeded when a needed genus value exceeds the budget, and
     SearchTimeout when the timeout, which bounds the whole call, passes.
     """
-    u = frozenset(u)
-    stray = u - g.vertices
-    if stray:
-        raise ValueError(f"marked vertices not in graph: {sorted(stray)}")
+    u = MarkedGraph(g, frozenset(u)).marked
     deadline = deadline_after(timeout)
 
     def exact(h: Graph, cap: int) -> int:
@@ -304,6 +274,25 @@ def double_star_search(
     return DoubleStarResult(status, model=r.model, links=len(link.paths))
 
 
+def _peel(
+    g: MarkedGraph,
+    find: Callable[[MarkedGraph], ThetaWitness | None],
+    keep: frozenset[int] = frozenset(),
+    limit: int | None = None,
+) -> Iterator[ThetaWitness]:
+    """Greedy extract-and-delete: find a theta, drop its support except
+    keep, yield the theta, repeat.  Stops on an empty residue, when find
+    gives None, or after limit thetas."""
+    k, found = g.graph, 0
+    while k.vertices and found != limit:
+        tw = find(MarkedGraph(k, g.marked & k.vertices))
+        if tw is None:
+            return
+        k = k.remove_vertices(tw.model.support() - keep)
+        found += 1
+        yield tw
+
+
 # bouquet targets in search order: hub in a marked branch first, then the
 # primed (unmarked hub) variants; theta1 has no unmarked vertex
 _TARGETS = ((1, False), (2, False), (3, False), (4, False), (2, True), (3, True), (4, True))
@@ -314,22 +303,18 @@ def _bouquet_at(
 ) -> tuple[PatternId, MarkedMinorModel] | None:
     """Try to grow n theta copies pairwise disjoint except at x.
 
-    Each target (index, primed) runs its own greedy stream from the full
-    graph: find a theta with x pinned to the hub role, drop its support
-    except x, repeat.  Pinning the hub directly makes the copies line up
-    without any relabeling.
+    Each target (index, primed) peels its own greedy stream from the full
+    graph with x pinned to the hub role and kept.  Pinning the hub
+    directly makes the copies line up without any relabeling.
     """
     for i, primed in _TARGETS:
         hub = u_copies(i, primed, 1)[0]
-        k, km = g.graph, g.marked
-        models: list[MarkedMinorModel] = []
-        while len(models) < n and x in k.vertices:
-            sub = MarkedGraph(k, km & k.vertices)
+
+        def find(sub: MarkedGraph) -> ThetaWitness | None:
             r = settled(find_marked_minor(sub, theta(i), time_left(deadline), {hub: x}))
-            if not r.found:
-                break
-            models.append(r.model)
-            k = k.remove_vertices(r.model.support() - {x})
+            return ThetaWitness(i, r.model) if r.found else None
+
+        models = [tw.model for tw in _peel(g, find, frozenset([x]), n)]
         if len(models) == n:
             pid = PatternId("uprime" if primed else "u", i, n)
             return pid, glue_models(u_copies(i, primed, n)[1], models, g.marked)
@@ -339,15 +324,12 @@ def _bouquet_at(
 def _free_theta(g: MarkedGraph, deadline: float | None) -> ThetaWitness | None:
     """Extract one theta anywhere in (g, marked), or None.
 
-    Planar g with a non-planar cone decodes directly from the Kuratowski
-    witness; otherwise the four patterns are searched exhaustively.
+    Planar g decodes its theta from the cone probe; otherwise the four
+    patterns are searched exhaustively.
     """
     if is_planar(g.graph):
-        cg, apex = cone(g.graph, g.marked)
-        res = planarity(cg)
-        if res.planar:
-            return None
-        return extract_theta(g, res.witness, apex)
+        probe = _cone_probe(g)
+        return probe if isinstance(probe, ThetaWitness) else None
     for i in (1, 2, 3, 4):
         r = settled(find_marked_minor(g, theta(i), timeout=time_left(deadline)))
         if r.found:
@@ -355,42 +337,19 @@ def _free_theta(g: MarkedGraph, deadline: float | None) -> ThetaWitness | None:
     return None
 
 
-def _disjoint_pack(
-    h: Graph,
-    marks: frozenset[int],
-    n: int,
-    banked: dict[int, list[MarkedMinorModel]],
-    deadline: float | None,
-) -> tuple[int, list[MarkedMinorModel]] | None:
-    """Greedy extract-and-delete on a scratch copy, continuing the banked
-    counts; returns (index, n disjoint models) when some index fills."""
-    scratch = {i: list(ms) for i, ms in banked.items()}
-    k, km = h, marks
-    while True:
-        for i, ms in scratch.items():
-            if len(ms) >= n:
-                return i, ms[:n]
-        if not k.vertices:
-            return None
-        tw = _free_theta(MarkedGraph(k, km & k.vertices), deadline)
-        if tw is None:
-            return None
-        scratch[tw.index].append(tw.model)
-        k = k.remove_vertices(tw.model.support())
-        km = km & k.vertices
-
-
 def su_obstruction(
     g: MarkedGraph, genus_budget: int, n: int, timeout: float | None = None
 ) -> SuResult:
     """Staged search for a level-n obstruction against coning within budget.
 
-    Loop: if the current residue cones within the budget, stop with a
-    certificate.  Otherwise try witnesses in preference order.  First a
-    disjoint packing of a common theta index (greedy extract-and-delete on
-    a scratch copy).  Then a bouquet of thetas through each critical
-    vertex.  Then a double star over each critical pair.  If none lands,
-    extract one theta outright, bank it, remove its support and repeat.
+    If the cone is within the budget, stop with a certificate.  Otherwise
+    peel the greedy stream of free thetas (extract one, delete its
+    support, repeat) once.  n thetas of one index in the stream give an
+    omega-theta packing.  Failing that, walk the residues the stream
+    leaves, starting with g itself: try a bouquet of thetas through each
+    critical vertex, then a double star over each critical pair, then
+    move on to the next residue, which yields a certificate once it cones
+    within the budget.  Past the last residue the search is exhausted.
     Every witness is re-verified in the input graph before it is returned.
     """
     if n < 1:
@@ -399,8 +358,8 @@ def su_obstruction(
         raise ValueError("genus budget must be >= 0")
     deadline = deadline_after(timeout)
 
-    def nice(h: Graph, marks: frozenset[int]) -> bool:
-        ch, _ = cone(h, marks & h.vertices)
+    def nice(h: Graph) -> bool:
+        ch, _ = cone(h, g.marked & h.vertices)
         return settled(min_genus(ch, genus_budget, timeout=time_left(deadline))).status == "ok"
 
     def witness(pid: PatternId, model: MarkedMinorModel) -> SuResult:
@@ -408,59 +367,44 @@ def su_obstruction(
         assert ok, errs
         return SuResult("witness", kind=pid, model=model, removed=tuple(removed))
 
-    h, marks = g.graph, g.marked
+    def stop(status: str, detail: str) -> SuResult:
+        return SuResult(status, residue=h.vertices, removed=tuple(removed), detail=detail)
+
+    def certificate() -> SuResult:
+        counts = dict(sorted(Counter(tw.index for tw in stream[: len(removed)]).items()))
+        return stop(
+            "certificate",
+            f"residue cones within budget {genus_budget}; banked theta counts {counts}",
+        )
+
+    h = g.graph
     removed: list[frozenset[int]] = []
-    banked: dict[int, list[MarkedMinorModel]] = {1: [], 2: [], 3: [], 4: []}
+    stream: list[ThetaWitness] = []
     try:
-        while True:
-            if nice(h, marks):
-                counts = {i: len(ms) for i, ms in banked.items() if ms}
-                return SuResult(
-                    "certificate",
-                    residue=h.vertices,
-                    removed=tuple(removed),
-                    detail=f"residue cones within budget {genus_budget};"
-                    f" banked theta counts {counts}",
-                )
-            cur = MarkedGraph(h, marks & h.vertices)
-            pack = _disjoint_pack(h, marks, n, banked, deadline)
-            if pack is not None:
-                i, models = pack
-                return witness(
-                    PatternId("omega-theta", i, n),
-                    glue_models(omega_theta_copies(i, n), models, g.marked),
-                )
-            crits = [
-                x
-                for x in h.sorted_vertices()
-                if nice(h.remove_vertices([x]), marks - {x})
-            ]
+        if nice(h):
+            return certificate()
+        for tw in _peel(g, lambda sub: _free_theta(sub, deadline)):
+            stream.append(tw)
+            same = [t.model for t in stream if t.index == tw.index]
+            if len(same) == n:
+                pid = PatternId("omega-theta", tw.index, n)
+                return witness(pid, glue_models(omega_theta_copies(tw.index, n), same, g.marked))
+        for tw in [*stream, None]:
+            cur = MarkedGraph(h, g.marked & h.vertices)
+            crits = [x for x in h.sorted_vertices() if nice(h.remove_vertices([x]))]
             for x in crits:
                 hit = _bouquet_at(cur, x, n, deadline)
                 if hit is not None:
                     return witness(*hit)
-            if len(crits) >= 2:
-                for x, y in combinations(crits, 2):
-                    ds = settled(double_star_search(cur, x, y, n, timeout=time_left(deadline)))
-                    if ds.found:
-                        return witness(PatternId("u", 5, n), ds.model)
-            tw = _free_theta(cur, deadline)
+            for x, y in combinations(crits, 2):
+                ds = settled(double_star_search(cur, x, y, n, timeout=time_left(deadline)))
+                if ds.found:
+                    return witness(PatternId("u", 5, n), ds.model)
             if tw is None:
-                return SuResult(
-                    "exhausted",
-                    residue=h.vertices,
-                    removed=tuple(removed),
-                    detail="residue exceeds the budget but no pattern was found",
-                )
-            banked[tw.index].append(tw.model)
-            sup = tw.model.support()
-            removed.append(sup)
-            h = h.remove_vertices(sup)
-            marks = marks & h.vertices
+                return stop("exhausted", "residue exceeds the budget but no pattern was found")
+            removed.append(tw.model.support())
+            h = h.remove_vertices(removed[-1])
+            if nice(h):
+                return certificate()
     except SearchTimeout:
-        return SuResult(
-            "timeout",
-            residue=h.vertices,
-            removed=tuple(removed),
-            detail="search deadline passed",
-        )
+        return stop("timeout", "search deadline passed")

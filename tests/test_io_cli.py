@@ -340,3 +340,26 @@ def test_cli_verify_comb_with_empty_path_is_invalid(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "invalid" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, witness, pattern",
+    [
+        ("comb", {"kind": "star", "paths": [[0, 1]], "centers": [0], "level": None}, None),
+        ("comb", {"kind": "star", "paths": [[0, [1]]], "centers": [0], "level": 1}, None),
+        ("minor", {"branch_sets": {"0": [[0]]}, "edges": {}}, "k5"),
+        ("marked-minor", {"branch_sets": {"0": [[0]]}, "edges": {}, "host_marked": []}, "theta:1"),
+        ("kuratowski", {"kind": "K5", "branch_vertices": [[0], 1, 2, 3, 4], "paths": {}}, None),
+        ("decomposition", {"pieces": [{"vertices": [0, 1], "edges": [[0, [1]]]}],
+                           "core": {"vertices": [], "edges": []}, "overlaps": []}, None),
+        ("comb", [0, 1], None),
+    ],
+)
+def test_cli_verify_mistyped_witness_is_an_error(tmp_path, capsys, kind, witness, pattern):
+    k5 = _k5(tmp_path)
+    wfile = _write(tmp_path, "w.json", json.dumps(witness))
+    extra = [] if pattern is None else ["--pattern", k5 if pattern == "k5" else pattern]
+    assert main(["verify", kind, "--graph", k5, "--witness", wfile, *extra]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -16,6 +16,7 @@ from surfembed.core import (
     complete_graph,
     cone,
     cycle_graph,
+    disjoint_union,
     path_graph,
 )
 from surfembed.embeddings import (
@@ -30,6 +31,7 @@ from surfembed.outerplanarity import (
     NonPlanarInput,
     ThetaWitness,
     double_star_search,
+    extract_theta,
     is_u_outerplanar,
     relative_genus,
     su_obstruction,
@@ -120,6 +122,15 @@ def test_outerplanarity_matches_minor_exclusion(rng):
         assert isinstance(out, RotationSystem) == clean
 
 
+def test_extract_theta_needs_cone_vertex_on_witness():
+    g = complete_graph(4)
+    coned, apex = cone(g, g.vertices)
+    w = planarity(coned).witness
+    assert extract_theta(MarkedGraph(g, g.vertices), w, apex).index == 1
+    with pytest.raises(ValueError, match="cone vertex does not lie on the witness"):
+        extract_theta(MarkedGraph(g, g.vertices), w, apex + 1)
+
+
 def test_relative_genus_k4_fully_marked():
     g = complete_graph(4)
     res = relative_genus(g, g.vertices, budget=2)
@@ -208,6 +219,50 @@ def test_su_obstruction_recognizes_catalog_slices():
         assert res.kind.label() == label
         ok, errs = verify_marked_model(mg, build_pattern(res.kind), res.model)
         assert ok, errs
+
+
+def _theta_union(indices: tuple[int, ...]) -> MarkedGraph:
+    """Disjoint union of theta(i) for i in indices, marks shifted along."""
+    parts = [theta(i) for i in indices]
+    marks: set[int] = set()
+    offset = 0
+    for p in parts:
+        shift = offset - min(p.graph.vertices)
+        marks |= {v + shift for v in p.marked}
+        offset = max(p.graph.vertices) + shift + 1
+    return MarkedGraph(disjoint_union([p.graph for p in parts]), frozenset(marks))
+
+
+@pytest.mark.parametrize(
+    "indices, n, status, label, removals",
+    [
+        # no index reaches 3: every theta is peeled before the cone is free
+        ((1, 2, 3, 4, 1), 3, "certificate", None, 5),
+        # after three removals only theta2 is left: a double star over its marks
+        ((1, 2, 3, 4), 2, "witness", "u5(2)", 3),
+    ],
+)
+def test_su_obstruction_walks_the_theta_stream(monkeypatch, indices, n, status, label, removals):
+    calls = []
+
+    def counted(*args, _fn=outerplanarity._free_theta, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(outerplanarity, "_free_theta", counted)
+    mg = _theta_union(indices)
+    res = su_obstruction(mg, 0, n)
+    assert res.status == status, res.detail
+    assert len(res.removed) == removals
+    assert all(s <= mg.graph.vertices for s in res.removed)
+    if label is None:
+        assert res.detail.endswith("banked theta counts {1: 2, 2: 1, 3: 1, 4: 1}")
+    else:
+        assert res.kind.label() == label
+        ok, errs = verify_marked_model(mg, build_pattern(res.kind), res.model)
+        assert ok, errs
+    # the stream is peeled once: one extraction per theta, plus the last try
+    assert len(calls) <= len(indices) + 1
 
 
 def test_su_obstruction_certificate_when_cone_is_free():
