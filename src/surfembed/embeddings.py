@@ -16,10 +16,11 @@ joined at the cut vertices and the whole rotation is re-traced before it is
 returned.
 
 Planarity has two modes, and every left-right (LR) run goes through _lr_run,
-which calls networkx's linear-time LR test directly.  is_planar() counts edges
-and degrees first and makes at most one LR run; it returns a bool and nothing
-else.  planarity() gives evidence either way: a planar embedding from one LR
-run is converted to a rotation system and re-traced to genus 0, and a
+which calls the LR test of lr.py on the edge list.  is_planar() counts edges
+and degrees first and makes at most one LR run in the test's boolean mode,
+which stops after the testing search; it returns a bool and nothing else.
+planarity() gives evidence either way: a planar graph gets the rotation
+system from one LR run in embedding mode, re-traced to genus 0, and a
 non-planar graph is cut down to one non-planar block and then by chunked edge
 deletion (ddmin) to a K5/K33 subdivision witness, re-verified edge by edge.
 min_genus settles its planar blocks through the same LR helper.
@@ -31,9 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-import networkx as nx
-from networkx.algorithms.planarity import LRPlanarity
-
+from . import lr
 from .core import Edge, Graph, SearchTimeout, blocks, deadline_after, norm_edge
 
 # ---------------------------------------------------------------------------
@@ -511,14 +510,14 @@ def _decode_kuratowski(edges: list[Edge]) -> KuratowskiWitness | None:
     return KuratowskiWitness(kind=kind, branch_vertices=tuple(order), paths=tuple(tagged))
 
 
-def _lr_run(edges: Iterable[Edge]) -> nx.PlanarEmbedding | None:
-    """One left-right planarity run on an edge set: networkx's LR test,
-    called without the check_planarity dispatch.  Every LR run in the
-    package goes through here.  Returns the embedding, or None when the
-    graph is not planar."""
-    ng = nx.Graph()
-    ng.add_edges_from(edges)
-    return LRPlanarity(ng).lr_planarity()
+def _lr_run(
+    edges: Iterable[Edge], embed: bool = False
+) -> dict[int, tuple[int, ...]] | None:
+    """One left-right planarity run on an edge set.  Every LR run in the
+    package goes through here.  Returns None when the graph is not planar;
+    otherwise the clockwise rotation of every vertex of an edge with embed
+    set, and an empty dict without it."""
+    return lr.lr_planarity(edges, embed)
 
 
 def _counted(m: int, degs: Iterable[int]) -> bool | None:
@@ -552,10 +551,10 @@ def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
         return {v: g.neighbors(v) for v in g.vertices}
     if _counted_graph(g) is False:
         return None
-    emb = _lr_run(g.edges)
-    if emb is None:
+    rot = _lr_run(g.edges, embed=True)
+    if rot is None:
         return None
-    return {v: tuple(emb.neighbors_cw_order(v)) if g.degree(v) else () for v in g.vertices}
+    return {v: rot.get(v, ()) for v in g.vertices}
 
 
 def is_planar(g: Graph) -> bool:
@@ -618,6 +617,25 @@ def _as_witness(g: Graph, edges: list[Edge]) -> KuratowskiWitness | None:
     return w if w is not None and not verify_kuratowski(g, w) else None
 
 
+def _chain(edges: list[Edge], e: Edge) -> list[Edge]:
+    """The edges of the maximal path through degree-2 vertices of edges
+    that contains e."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    out = [e]
+    for prev, x in (e, e[::-1]):
+        while len(adj[x]) == 2:
+            a, b = adj[x]
+            prev, x = x, b if a == prev else a
+            f = norm_edge(prev, x)
+            if f == e:  # the path closed into a cycle
+                break
+            out.append(f)
+    return out
+
+
 def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
     """A K5/K33 subdivision in non-planar g, verified by verify_kuratowski.
 
@@ -627,11 +645,14 @@ def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
     before an LR run.  An edge whose deletion leaves a planar graph is
     needed in every non-planar subgraph of the current one, so after the
     pass with single edges the rest is a minimal non-planar subgraph: a
-    Kuratowski subdivision.  The search stops as soon as the rest has the
-    degrees of one and decodes to a witness that verifies.
+    Kuratowski subdivision.  Deleting any edge of a path through degree-2
+    vertices peels the whole path, so once one of its edges is needed the
+    single-edge pass skips the rest.  The search stops as soon as the rest
+    has the degrees of one and decodes to a witness that verifies.
     """
     cur = _nonplanar_block(g)
     size = len(cur)
+    needed: set[Edge] = set()  # filled in the single-edge pass only
     while size > 1:
         size //= 2
         w = _as_witness(g, cur)
@@ -639,10 +660,15 @@ def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
             return w
         i = 0  # cur[:i] has been tried in this pass and is kept
         while i < len(cur):
+            if cur[i] in needed:
+                i += 1
+                continue
             trial, known = _core(cur[:i] + cur[i + size:])
             if known is None:
                 known = _lr_run(trial) is not None
             if known:
+                if size == 1:
+                    needed.update(_chain(cur, cur[i]))
                 i += size
                 continue
             alive = set(trial)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
-from networkx.algorithms.planarity import LRPlanarity
 
 from oracles import planar_by_subdivision, random_graph
+from surfembed import lr
 from surfembed.core import (
     Graph,
     complete_bipartite,
@@ -264,13 +266,13 @@ def _grid(a: int, b: int) -> Graph:
 def lr_runs(monkeypatch):
     """Counts the left-right planarity runs made while the test runs."""
     runs = [0]
-    original = LRPlanarity.lr_planarity
+    original = lr.lr_planarity
 
-    def counted(self):
+    def counted(edges, embed=False):
         runs[0] += 1
-        return original(self)
+        return original(edges, embed)
 
-    monkeypatch.setattr(LRPlanarity, "lr_planarity", counted)
+    monkeypatch.setattr(lr, "lr_planarity", counted)
     return runs
 
 
@@ -289,6 +291,17 @@ def test_witness_in_large_host_costs_few_lr_runs(lr_runs):
     assert not res.planar
     assert verify_kuratowski(g, res.witness) == []
     assert lr_runs[0] <= 20
+
+
+def test_witness_skips_needed_degree_two_paths(lr_runs):
+    # the crossing corner diagonals leave a K33 subdivision with long paths
+    # through degree-2 vertices; each path needs one LR run, not one per edge
+    g = Graph(edges=_grid(20, 20).edges | {(0, 399), (19, 380)})
+    assert g.m == 762
+    res = planarity(g)
+    assert not res.planar
+    assert verify_kuratowski(g, res.witness) == []
+    assert lr_runs[0] <= 300
 
 
 def test_is_planar_makes_at_most_one_lr_run(lr_runs):
@@ -323,3 +336,65 @@ def test_full_cone_witnesses_verify(graphs_le7):
             assert genus_of_rotation(cg, res.rotation) == 0
         else:
             assert verify_kuratowski(cg, res.witness) == [], sorted(g.edges)
+
+
+def _lr_oracle_corpus() -> list[list[tuple[int, int]]]:
+    """Edge lists: the graph atlas, the full cones of its connected graphs,
+    and 700 seeded random graphs on 5 to 200 vertices (G(n, m), random
+    geometric, grids with extra edges), with edges in shuffled order and
+    orientation."""
+    rng = random.Random(2024)
+    graphs = [g for g in nx.graph_atlas_g() if g.number_of_nodes()]
+    assert len(graphs) == 1252
+    cones = []
+    for g in graphs:
+        if nx.is_connected(g):
+            c = nx.Graph(g)
+            c.add_edges_from((-1, v) for v in g)
+            cones.append(nx.convert_node_labels_to_integers(c))
+    graphs += cones
+    for k in range(700):
+        n = rng.randint(5, 200)
+        seed = rng.randrange(2**32)
+        if k % 3 == 0:
+            g = nx.gnm_random_graph(n, rng.randint(n, 3 * n), seed=seed)
+        elif k % 3 == 1:
+            g = nx.random_geometric_graph(n, rng.uniform(0.1, 0.3), seed=seed)
+        else:
+            a = rng.randint(2, 14)
+            g = nx.convert_node_labels_to_integers(nx.grid_2d_graph(a, max(2, n // a)))
+            for _ in range(rng.randint(0, 3)):
+                g.add_edge(*rng.sample(sorted(g), 2))
+        graphs.append(g)
+    corpus = []
+    for g in graphs:
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
+        rng.shuffle(edges)
+        corpus.append(edges)
+    return corpus
+
+
+def test_lr_agrees_with_networkx():
+    corpus = _lr_oracle_corpus()
+    assert len(corpus) == 1252 + 996 + 700
+    for edges in corpus:
+        planar = nx.is_planar(nx.Graph(edges))
+        assert (lr.lr_planarity(edges) is not None) == planar, edges
+        rot = lr.lr_planarity(edges, embed=True)
+        assert (rot is not None) == planar, edges
+        if planar and edges:
+            g = Graph(edges=edges)
+            assert genus_of_rotation(g, RotationSystem.from_dict(rot)) == 0, edges
+
+
+def test_deep_dfs_needs_no_recursion(lr_runs):
+    # a DFS of depth about 5000 and 4000, far past the default recursion
+    # limit; each graph has a vertex of degree 3, so an LR run is needed
+    chorded = Graph(edges=cycle_graph(5000).edges | {(0, 2500)})
+    ladder = _grid(2, 2000)
+    for g in (chorded, ladder):
+        lr_runs[0] = 0
+        res = planarity(g)
+        assert res.planar and genus_of_rotation(g, res.rotation) == 0
+        assert lr_runs[0] == 1
+        assert lr.lr_planarity(g.edges) == {}  # the boolean mode
