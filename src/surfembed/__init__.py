@@ -45,14 +45,12 @@ from .dichotomy import (
 )
 from .embeddings import (
     BudgetExceeded,
-    FaceSet,
     GenusResult,
     KuratowskiWitness,
     PlanarityResult,
     RotationSystem,
     genus_additivity,
     genus_of_rotation,
-    handle_merge,
     is_planar,
     min_genus,
     planarity,
@@ -60,13 +58,12 @@ from .embeddings import (
     validate_rotation,
     verify_kuratowski,
 )
-from .iso import are_isomorphic, canonical_form, find_isomorphism
+from .iso import are_isomorphic, find_isomorphism
 from .minors import (
     MarkedMinorModel,
     MinorModel,
     MinorResult,
     PackResult,
-    compose_models,
     find_marked_minor,
     find_minor,
     pack_bouquet,

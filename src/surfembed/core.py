@@ -306,15 +306,12 @@ def contract(g: Graph, contracted: Iterable[Sequence[int]]) -> tuple[Graph, dict
 
 
 def _max_flow_paths(
-    g: Graph, a: frozenset[int], b: frozenset[int], internal_only: bool
+    g: Graph, a: frozenset[int], b: frozenset[int]
 ) -> tuple[list[list[int]], set[int]]:
     """Unit-capacity vertex-split max flow between vertex sets.
 
-    With internal_only=False every vertex has capacity one, so the paths are
-    fully disjoint and the min cut is a vertex separator of equal size.  With
-    internal_only=True the a/b vertices are uncapacitated; separator vertices
-    are then read off the cut arcs (an a- or b-vertex can appear when a direct
-    a-b edge must be counted).
+    Every vertex has capacity one, so the paths are fully disjoint and the
+    min cut is a vertex separator of equal size.
     """
     verts = sorted(g.vertices)
     idx = {v: i for i, v in enumerate(verts)}
@@ -333,10 +330,8 @@ def _max_flow_paths(
             adj.setdefault(y, []).append(x)
         cap[(x, y)] += c
 
-    for v in verts:
-        i = idx[v]
-        c = big if (internal_only and (v in a or v in b)) else 1
-        add_arc(2 * i, 2 * i + 1, c)
+    for i in range(n):
+        add_arc(2 * i, 2 * i + 1, 1)
     for u, v in g.sorted_edges():
         iu, iv = idx[u], idx[v]
         # edge arcs carry capacity 1: a simple-graph edge is used by one path
@@ -390,26 +385,8 @@ def _max_flow_paths(
             x = nxt
         raw_paths.append(walk)
 
-    paths: list[list[int]] = []
-    for walk in raw_paths:
-        vp: list[int] = []
-        for node in walk:
-            if node in (src, snk):
-                continue
-            v = verts[node // 2]
-            if not vp or vp[-1] != v:
-                vp.append(v)
-        # excise any revisiting loop (possible only through uncapacitated ends)
-        seen: dict[int, int] = {}
-        out: list[int] = []
-        for v in vp:
-            if v in seen:
-                out = out[: seen[v] + 1]
-                seen = {x: i for i, x in enumerate(out)}
-            else:
-                seen[v] = len(out)
-                out.append(v)
-        paths.append(out)
+    # each walk enters and leaves every vertex once: in-node, then out-node
+    paths = [[verts[node // 2] for node in walk[1:-1:2]] for walk in raw_paths]
 
     # min cut from residual reachability
     reached = {src}
@@ -420,36 +397,23 @@ def _max_flow_paths(
             if y not in reached and cap[(x, y)] - flow[(x, y)] > 0:
                 reached.add(y)
                 queue.append(y)
-    def capacitated(v: int) -> bool:
-        return not (internal_only and (v in a or v in b))
-
+    # a cut arc charges its head: a cut vertex arc its own vertex, a cut
+    # edge arc the vertex it enters, whose unit capacity it saturates
     separator: set[int] = set()
     for (x, y), c in sorted(cap.items()):
         if c > 0 and x in reached and y not in reached and flow[(x, y)] > 0:
             if x < 2 * n and y < 2 * n:
-                if x // 2 == y // 2:
-                    separator.add(verts[x // 2])
-                else:
-                    # cut edge arc: charge a capacitated endpoint so distinct
-                    # arcs charge distinct vertices (unit caps force it); with
-                    # both ends free (a direct a-b edge) charge the tail.
-                    head, tail = verts[y // 2], verts[x // 2]
-                    separator.add(head if capacitated(head) else tail)
+                separator.add(verts[y // 2])
     return paths, separator
 
 
-def max_disjoint_paths(
-    g: Graph,
-    a: Iterable[int],
-    b: Iterable[int],
-    internal_only: bool = False,
-) -> PathSystem:
+def max_disjoint_paths(g: Graph, a: Iterable[int], b: Iterable[int]) -> PathSystem:
     """Maximum family of disjoint a-b paths plus an equal-size separator.
 
-    internal_only=False: paths are pairwise vertex-disjoint (endpoints too); the
-    separator may use a/b vertices.  Vertices in both a and b yield trivial
-    zero-length paths.  internal_only=True: paths may share endpoints lying in
-    a or b but nothing else.
+    Paths are pairwise vertex-disjoint, endpoints too, and the separator may
+    use a/b vertices.  Vertices in both a and b yield trivial zero-length
+    paths.  For internally disjoint x-y paths, take disjoint paths in
+    g - {x, y} from N(x) - {y} to N(y) - {x} and add x and y at the ends.
     """
     a = frozenset(a)
     b = frozenset(b)
@@ -458,7 +422,7 @@ def max_disjoint_paths(
         raise ValueError(f"path endpoints not in graph: {sorted(stray)}")
     if not a or not b:
         return PathSystem(paths=(), separator=frozenset())
-    paths, separator = _max_flow_paths(g, a, b, internal_only)
+    paths, separator = _max_flow_paths(g, a, b)
     paths_t = tuple(tuple(p) for p in sorted(paths))
     return PathSystem(paths=paths_t, separator=frozenset(separator))
 
@@ -472,9 +436,6 @@ class BlockStructure:
 
     blocks: tuple[frozenset[Edge], ...]
     cut_vertices: frozenset[int]
-
-    def block_graphs(self, g: Graph) -> list[Graph]:
-        return [g.edge_subgraph(b) for b in self.blocks]
 
 
 def blocks(g: Graph) -> BlockStructure:
@@ -564,31 +525,25 @@ def minimal_connecting_forest(g: Graph, terminals: Iterable[int]) -> Graph:
                 if y in comp and y not in prev:
                     prev[y] = x
                     queue.append(y)
-        tree: set[Edge] = set()
-        deg: dict[int, int] = {}
+        adj: dict[int, set[int]] = {v: set() for v in prev}
         for v, p in prev.items():
             if v != p:
-                e = norm_edge(v, p)
-                tree.add(e)
-                deg[v] = deg.get(v, 0) + 1
-                deg[p] = deg.get(p, 0) + 1
-        # prune non-terminal leaves until fixed point
-        changed = True
-        while changed:
-            changed = False
-            for e in sorted(tree):
-                for leaf in e:
-                    if deg.get(leaf, 0) == 1 and leaf not in terms:
-                        tree.discard(e)
-                        deg[e[0]] -= 1
-                        deg[e[1]] -= 1
-                        changed = True
-                        break
-                if changed:
-                    break
-        forest_edges.extend(sorted(tree))
-        used = {v for e in tree for v in e}
-        forest_vertices |= used if used else {root}
+                adj[v].add(p)
+                adj[p].add(v)
+        # prune non-terminal leaves from a queue, as the result does not
+        # depend on the order; the root is a terminal, so a queued leaf still
+        # has its one neighbour when it is taken
+        leaves = [v for v, ns in adj.items() if len(ns) == 1 and v not in terms]
+        while leaves:
+            v = leaves.pop()
+            (w,) = adj.pop(v)
+            adj[w].discard(v)
+            if len(adj[w]) == 1 and w not in terms:
+                leaves.append(w)
+        forest_edges.extend(
+            sorted(norm_edge(v, p) for v, p in prev.items() if v != p and v in adj)
+        )
+        forest_vertices |= adj.keys()
     return Graph(forest_vertices, forest_edges)
 
 

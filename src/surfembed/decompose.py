@@ -141,7 +141,7 @@ class _Layout:
         # itself minimum, so its faces carry the whole residual structure
         assert genus_of_rotation(core, hrot) == gamma
         face_of_dart: dict[Edge, int] = {}
-        for fi, walk in enumerate(trace_faces(core, hrot).faces):
+        for fi, walk in enumerate(trace_faces(core, hrot)):
             for dart in walk:
                 face_of_dart[dart] = fi
 

@@ -366,9 +366,11 @@ def _cycles(g: Graph, cap: int = 4000) -> list[tuple[int, ...]]:
 
 def _through_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
     """A maximum family of internally disjoint x-y paths, each with an
-    interior vertex."""
-    sys = max_disjoint_paths(g, {x}, {y}, internal_only=True)
-    return [p for p in sys.paths if len(p) >= 3]
+    interior vertex: disjoint paths in g - {x, y} from the neighbours of x
+    to those of y, with x and y added at the ends."""
+    inner = g.remove_vertices([x, y])
+    sys = max_disjoint_paths(inner, set(g.neighbors(x)) - {y}, set(g.neighbors(y)) - {x})
+    return [(x, *p, y) for p in sys.paths]
 
 
 def _double_star_at(

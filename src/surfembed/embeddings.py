@@ -15,15 +15,15 @@ search stops as soon as an embedding reaches it.  The block rotations are
 joined at the cut vertices and the whole rotation is re-traced before it is
 returned.
 
-Planarity has two modes, and every left-right (LR) run goes through _lr_run,
-which calls the LR test of lr.py on the edge list.  is_planar() counts edges
-and degrees first and makes at most one LR run in the test's boolean mode,
-which stops after the testing search; it returns a bool and nothing else.
-planarity() gives evidence either way: a planar graph gets the rotation
-system from one LR run in embedding mode, re-traced to genus 0, and a
-non-planar graph is cut down to one non-planar block and then by chunked edge
-deletion (ddmin) to a K5/K33 subdivision witness, re-verified edge by edge.
-min_genus settles its planar blocks through the same LR helper.
+Planarity has two modes, and every left-right (LR) run is a call of
+lr.lr_planarity on an edge list.  is_planar() counts edges and degrees first
+and makes at most one LR run in the test's boolean mode, which stops after the
+testing search; it returns a bool and nothing else.  planarity() gives
+evidence either way: a planar graph gets the rotation system from one LR run
+in embedding mode, re-traced to genus 0, and a non-planar graph is cut down to
+one non-planar block and then by chunked edge deletion (ddmin) to a K5/K33
+subdivision witness, re-verified edge by edge.  min_genus settles its planar
+blocks with the same embedding-mode run.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ class RotationSystem:
     def as_dict(self) -> dict[int, tuple[int, ...]]:
         return {v: ns for v, ns in self.order}
 
-    def at(self, v: int) -> tuple[int, ...]:
-        for u, ns in self.order:
-            if u == v:
-                return ns
-        raise KeyError(v)
-
 
 def validate_rotation(g: Graph, rot: RotationSystem) -> None:
     d = rot.as_dict()
@@ -69,19 +63,10 @@ def validate_rotation(g: Graph, rot: RotationSystem) -> None:
             raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
 
 
-@dataclass(frozen=True)
-class FaceSet:
-    """Faces of a rotation system: each face is a tuple of darts (u, v)."""
-
-    faces: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-
-def trace_faces(g: Graph, rot: RotationSystem) -> FaceSet:
-    """Orbit decomposition of darts: after dart (u, v) comes (v, w) where w
-    follows u in the rotation at v.  Every dart lies on exactly one face."""
+def trace_faces(g: Graph, rot: RotationSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The faces of a rotation system, each a tuple of darts (u, v): the
+    orbits of the dart map, after (u, v) comes (v, w) where w follows u in
+    the rotation at v.  Every dart lies on exactly one face."""
     validate_rotation(g, rot)
     order = rot.as_dict()
     succ: dict[tuple[int, int], int] = {}
@@ -105,7 +90,7 @@ def trace_faces(g: Graph, rot: RotationSystem) -> FaceSet:
             if d == start:
                 break
         faces.append(tuple(walk))
-    return FaceSet(faces=tuple(faces))
+    return tuple(faces)
 
 
 def genus_of_rotation(g: Graph, rot: RotationSystem) -> int:
@@ -121,7 +106,7 @@ def genus_of_rotation(g: Graph, rot: RotationSystem) -> int:
         raise KeyError(v)
 
     f_count = [0] * len(comps)
-    for f in faces.faces:
+    for f in faces:
         f_count[comp_of(f[0][0])] += 1
     total = 0
     for i, c in enumerate(comps):
@@ -510,16 +495,6 @@ def _decode_kuratowski(edges: list[Edge]) -> KuratowskiWitness | None:
     return KuratowskiWitness(kind=kind, branch_vertices=tuple(order), paths=tuple(tagged))
 
 
-def _lr_run(
-    edges: Iterable[Edge], embed: bool = False
-) -> dict[int, tuple[int, ...]] | None:
-    """One left-right planarity run on an edge set.  Every LR run in the
-    package goes through here.  Returns None when the graph is not planar;
-    otherwise the clockwise rotation of every vertex of an edge with embed
-    set, and an empty dict without it."""
-    return lr.lr_planarity(edges, embed)
-
-
 def _counted(m: int, degs: Iterable[int]) -> bool | None:
     """Planarity of a graph with m edges and the given vertex degrees,
     settled by counting alone, or None.  A non-planar graph holds a K5
@@ -551,7 +526,7 @@ def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
         return {v: g.neighbors(v) for v in g.vertices}
     if _counted_graph(g) is False:
         return None
-    rot = _lr_run(g.edges, embed=True)
+    rot = lr.lr_planarity(g.edges, embed=True)
     if rot is None:
         return None
     return {v: rot.get(v, ()) for v in g.vertices}
@@ -564,7 +539,7 @@ def is_planar(g: Graph) -> bool:
     known = _counted_graph(g)
     if known is not None:
         return known
-    return _lr_run(g.edges) is not None
+    return lr.lr_planarity(g.edges) is not None
 
 
 def _core(edges: list[Edge]) -> tuple[list[Edge], bool | None]:
@@ -605,7 +580,7 @@ def _nonplanar_block(g: Graph) -> list[Edge]:
             open_blocks.append(es)
     open_blocks.sort(key=len)
     for es in open_blocks[:-1]:
-        if _lr_run(es) is None:
+        if lr.lr_planarity(es) is None:
             return es
     return open_blocks[-1]
 
@@ -665,7 +640,7 @@ def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
                 continue
             trial, known = _core(cur[:i] + cur[i + size:])
             if known is None:
-                known = _lr_run(trial) is not None
+                known = lr.lr_planarity(trial) is not None
             if known:
                 if size == 1:
                     needed.update(_chain(cur, cur[i]))
@@ -695,113 +670,3 @@ def planarity(g: Graph) -> PlanarityResult:
             raise AssertionError("planar embedding did not trace to genus 0")
         return PlanarityResult(planar=True, rotation=rs)
     return PlanarityResult(planar=False, witness=_kuratowski_witness(g))
-
-
-# ---------------------------------------------------------------------------
-# handle merge
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MergedEmbedding:
-    graph: Graph
-    rotation: RotationSystem
-    genus_bound: int
-    b_vertex_map: tuple[tuple[int, int], ...]  # original B id -> merged id
-
-
-def handle_merge(
-    a: Graph,
-    rot_a: RotationSystem,
-    b: Graph,
-    rot_b: RotationSystem,
-    identifications: Sequence[tuple[int, int]],
-) -> MergedEmbedding:
-    """Glue two embedded graphs by identifying vertex pairs, one handle per pair.
-
-    Each identification splices the second vertex's cyclic order into the
-    first's (one extra handle in the worst case), so the traced genus of the
-    result is at most genus(a) + genus(b) + len(identifications).  The declared
-    bound is exactly that sum; the construction is re-traced and checked
-    against it.
-    """
-    validate_rotation(a, rot_a)
-    validate_rotation(b, rot_b)
-    if not identifications:
-        raise ValueError("need at least one identification")
-    shift = max(a.vertices, default=-1) + 1 - (min(b.vertices) if b.vertices else 0)
-    bmap = {v: v + shift for v in b.vertices}
-    ga = genus_of_rotation(a, rot_a)
-    gb = genus_of_rotation(b, rot_b)
-    bound = ga + gb + len(identifications)
-
-    verts = set(a.vertices) | set(bmap.values())
-    edges = set(a.edges) | {norm_edge(bmap[u], bmap[v]) for u, v in b.edges}
-    rot: dict[int, list[int]] = {v: list(ns) for v, ns in rot_a.as_dict().items()}
-    for v, ns in rot_b.as_dict().items():
-        rot[bmap[v]] = [bmap[u] for u in ns]
-
-    cur = {v: v for v in verts}  # id -> current merged representative
-
-    def rep(v: int) -> int:
-        while cur[v] != v:
-            v = cur[v]
-        return v
-
-    for va, vb in identifications:
-        if va not in a.vertices:
-            raise ValueError(f"identification vertex {va} not in first graph")
-        if vb not in b.vertices:
-            raise ValueError(f"identification vertex {vb} not in second graph")
-        x = rep(va)
-        y = rep(bmap[vb])
-        if x == y:
-            continue
-        rx, ry = rot[x], rot[y]
-        if not ry:
-            # trivial case: nothing to splice
-            pass
-        elif not rx:
-            rot[x] = ry
-        else:
-            # splice y's cycle into x's right after x's first neighbor,
-            # starting from y's first neighbor; any corner works for the bound
-            rot[x] = [rx[0]] + ry + rx[1:]
-        del rot[y]
-        cur[y] = x
-        # re-point y's edges at x, dropping loops
-        new_edges = set()
-        for u, v in edges:
-            u2 = x if u == y else u
-            v2 = x if v == y else v
-            if u2 != v2:
-                new_edges.add(norm_edge(u2, v2))
-        edges = new_edges
-        verts.discard(y)
-        for v in list(rot):
-            rot[v] = [x if u == y else u for u in rot[v]]
-        # collapse parallel edges in the rotation: keep first occurrence
-        seen: set[int] = set()
-        dedup = []
-        for u in rot[x]:
-            if u not in seen:
-                seen.add(u)
-                dedup.append(u)
-        rot[x] = dedup
-        for v in list(rot):
-            if v != x:
-                rot[v] = [u for i, u in enumerate(rot[v]) if u != x or rot[v].index(u) == i]
-
-    merged = Graph(verts, edges)
-    rs = RotationSystem.from_dict({v: tuple(ns) for v, ns in rot.items()})
-    traced = genus_of_rotation(merged, rs)
-    if traced > bound:
-        raise AssertionError(
-            f"handle merge traced to genus {traced}, above the declared bound {bound}"
-        )
-    return MergedEmbedding(
-        graph=merged,
-        rotation=rs,
-        genus_bound=bound,
-        b_vertex_map=tuple(sorted(bmap.items())),
-    )

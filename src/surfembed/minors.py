@@ -465,18 +465,3 @@ def glue_models(
     if host_marked is None:
         return MinorModel(glued, conn)
     return MarkedMinorModel(glued, conn, host_marked)
-
-
-def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:
-    """Compose witnesses: outer shows h < g, inner shows g < f; the
-    result shows h < f."""
-    bsets: dict[int, frozenset[int]] = {}
-    for pv, bs in outer.branch_sets.items():
-        merged: set[int] = set()
-        for mv in bs:
-            merged |= inner.branch_sets[mv]
-        bsets[pv] = frozenset(merged)
-    connectors: dict[Edge, Edge] = {}
-    for pe, me in outer.connect_edges.items():
-        connectors[pe] = inner.connect_edges[norm_edge(*me)]
-    return MinorModel(bsets, connectors)

@@ -132,15 +132,6 @@ def test_menger_on_k33():
     assert len(ps.separator) == 3
 
 
-def test_menger_internal_only():
-    # two vertices joined by 3 internally disjoint paths of length 2
-    g = Graph(range(5), [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
-    ps = max_disjoint_paths(g, [0], [1], internal_only=True)
-    assert len(ps.paths) == 3
-    # endpoints excluded from the separator
-    assert ps.separator <= {2, 3, 4}
-
-
 def test_menger_trivial_path_on_overlap():
     g = path_graph(3)
     ps = max_disjoint_paths(g, [0, 1], [1, 2])
@@ -173,7 +164,7 @@ def test_blocks_two_triangles_at_cut():
     bs = blocks(g)
     assert len(bs.blocks) == 2
     assert bs.cut_vertices == frozenset([2])
-    parts = bs.block_graphs(g)
+    parts = [g.edge_subgraph(b) for b in bs.blocks]
     assert all(p.m == 3 for p in parts)
 
 

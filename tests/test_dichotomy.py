@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import surfembed
 
-from oracles import connected_graphs_on, random_tree
+from oracles import connected_graphs_on, random_graph, random_tree
 from surfembed.core import (
     Graph,
     MarkedGraph,
@@ -25,6 +26,7 @@ from surfembed.core import (
 from surfembed.dichotomy import (
     CombStructure,
     _outerplanar,
+    _through_paths,
     almost_outerplanar_dichotomy,
     classify,
     forest_contract_dichotomy,
@@ -151,6 +153,36 @@ def test_double_star_preferred_on_circular_ladder():
     u = frozenset(g.vertices)
     s = two_connected_structures(g, u, 3)
     _check(g, u, s, "double-star", 3)
+
+
+def _smallest_separator(g: Graph, x: int, y: int) -> int:
+    """Brute force: the fewest vertices other than x and y whose deletion,
+    with the edge xy, leaves no x-y path."""
+    rest = sorted(g.vertices - {x, y})
+    base = g.remove_edges([(x, y)])
+    for k in range(len(rest) + 1):
+        for cut in itertools.combinations(rest, k):
+            if not any(y in c for c in base.remove_vertices(cut).components() if x in c):
+                return k
+    raise AssertionError("x and y cannot be separated")
+
+
+def test_through_paths_match_menger(rng):
+    # three paths of length 2 between 0 and 1, plus the direct edge 0-1
+    hosts = [Graph(range(5), [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])]
+    hosts += [random_graph(rng, rng.randrange(2, 9), rng.uniform(0.2, 0.8)) for _ in range(40)]
+    for g in hosts:
+        for x, y in itertools.combinations(g.sorted_vertices(), 2):
+            paths = _through_paths(g, x, y)
+            assert len(paths) == _smallest_separator(g, x, y), (sorted(g.edges), x, y)
+            seen: set[int] = set()
+            for p in paths:
+                assert p[0] == x and p[-1] == y and len(p) >= 3
+                assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+                inner = set(p[1:-1])
+                assert len(inner) == len(p) - 2 and not inner & ({x, y} | seen)
+                seen |= inner
+    assert len(_through_paths(hosts[0], 0, 1)) == 3
 
 
 def test_fan_on_wheel():

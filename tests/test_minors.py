@@ -21,7 +21,6 @@ from surfembed.core import (
 )
 from surfembed.minors import (
     MinorModel,
-    compose_models,
     find_marked_minor,
     find_minor,
     pack_bouquet,
@@ -323,21 +322,6 @@ def test_packing_matches_partition_oracle(name):
             res = pack_bouquet(g, h, hub, 2)
             assert res.exhausted and res.complete == expect, (name, hub, sorted(g.edges))
             _check_packing(g, h, res, hub)
-
-
-def test_compose_models():
-    # triangle < hexagon < subdivided hexagon
-    c6, c3 = cycle_graph(6), cycle_graph(3)
-    host = Graph(
-        range(12),
-        [(0, 6), (6, 1), (1, 7), (7, 2), (2, 8), (8, 3),
-         (3, 9), (9, 4), (4, 10), (10, 5), (5, 11), (11, 0)],
-    )
-    inner = find_minor(host, c6).model
-    outer = find_minor(c6, c3).model
-    combined = compose_models(outer, inner)
-    ok, errs = verify_model(host, c3, combined)
-    assert ok, errs
 
 
 def test_minor_search_matches_subdivision_oracle(rng):
