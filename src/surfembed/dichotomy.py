@@ -450,10 +450,11 @@ def two_connected_structures(g: Graph, u: frozenset[int], n: int) -> CombStructu
 
 # --- witness assembly -------------------------------------------------
 
-def _pack_witness(g: Graph, pid: PatternId) -> Witness | None:
+def _pack_witness(g: Graph, pid: PatternId, timeout: float | None = None) -> Witness | None:
     """Pack pid.level copies of the pattern's block, disjoint or through
     its glue vertex, and glue them into a model of the pattern.  Covers
-    the aux packings and the sigma families sharing at most one vertex."""
+    the aux packings and the sigma families sharing at most one vertex.
+    Raises SearchTimeout when the timeout ends the packing unsettled."""
     if pid.family == "sigma":
         block = sigma(pid.index, 1)
         shared, maps = sigma_copies(pid.index, pid.level)
@@ -462,10 +463,12 @@ def _pack_witness(g: Graph, pid: PatternId) -> Witness | None:
         block, hub = aux_block(pid.kind)
         maps = aux_copies(pid.kind, pid.level)
     if hub is None:
-        res = pack_disjoint(g, block, pid.level)
+        res = pack_disjoint(g, block, pid.level, timeout)
     else:
-        res = pack_bouquet(g, block, hub, pid.level)
+        res = pack_bouquet(g, block, hub, pid.level, timeout)
     if not res.complete:
+        if not res.exhausted:
+            raise SearchTimeout
         return None
     return glue_models(maps, res.models)
 
@@ -489,15 +492,23 @@ def _k2n_witness(g: Graph, n: int) -> MinorModel | None:
 
 
 def _dichotomy(
-    g: Graph, n: int, flaw, witnesses: list[PatternId], note: str
+    g: Graph,
+    n: int,
+    flaw,
+    witnesses: list[PatternId],
+    note: str,
+    deadline: float | None = None,
 ) -> DichotomyOutcome:
     """The one engine shape: the flaw set if there is one, else the first
     of the witness patterns found in g (each model re-verified), else a
-    give-up carrying the note."""
+    give-up carrying the note.  The deadline bounds the packings."""
     if flaw is not None:
         return DichotomyOutcome("flaw-set", flaw=frozenset(flaw))
     for pid in witnesses:
-        model = _k2n_witness(g, pid.level) if pid.kind == "K2w" else _pack_witness(g, pid)
+        if pid.kind == "K2w":
+            model = _k2n_witness(g, pid.level)
+        else:
+            model = _pack_witness(g, pid, time_left(deadline))
         if model is not None:
             ok, errs = verify_model(g, build_pattern(pid), model)
             assert ok, errs
@@ -551,13 +562,22 @@ def almost_outerplanar_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
     return _dichotomy(g, n, flaw, witnesses, f"no deletion set of size <= {k}")
 
 
-def planar_vertex_flaws(g: Graph, n: int, k: int) -> DichotomyOutcome:
+def planar_vertex_flaws(
+    g: Graph, n: int, k: int, timeout: float | None = None
+) -> DichotomyOutcome:
     """Either a minimum vertex set W with g - W planar and |W| <= k, or
     n disjoint copies of K5 or K33.  The flaw side enumerates subsets by
-    size, so a returned W is optimal."""
-    flaw = _smallest_flaw(g.sorted_vertices(), k, lambda w: is_planar(g.remove_vertices(w)))
+    size, so a returned W is optimal.  Raises SearchTimeout when the
+    timeout, which bounds the whole call, passes."""
+    deadline = deadline_after(timeout)
+
+    def planarizes(w) -> bool:
+        time_left(deadline)
+        return is_planar(g.remove_vertices(w))
+
+    flaw = _smallest_flaw(g.sorted_vertices(), k, planarizes)
     witnesses = [PatternId("sigma", 1, n), PatternId("sigma", 2, n)]
-    return _dichotomy(g, n, flaw, witnesses, f"no planarizing set of size <= {k}")
+    return _dichotomy(g, n, flaw, witnesses, f"no planarizing set of size <= {k}", deadline)
 
 
 # --- the classifier ---------------------------------------------------
@@ -586,22 +606,22 @@ def classify(
     obstructs, the report carries a decomposition certificate and the
     genus bound it implies.
 
-    The timeout bounds the obstruction searches and the decomposition
-    together; the planarizing flaw search takes none.  When it passes,
-    the report keeps what was found so far and notes the deadline."""
+    The timeout bounds the whole pipeline: the planarizing flaw search,
+    the obstruction searches and the decomposition.  When it passes, the
+    report keeps what was found so far and notes the deadline."""
     deadline = deadline_after(timeout)
     report = ClassifyReport()
-    pv = planar_vertex_flaws(g, n, k)
-    if pv.tag == "witness":
-        report.witnesses.append(pv.witness)
-        return report
-    if pv.tag == "budget-exhausted":
-        report.notes.append(pv.detail)
-        return report
-
-    report.flaw = pv.flaw
-    flaw = sorted(pv.flaw)
     try:
+        pv = planar_vertex_flaws(g, n, k, timeout=time_left(deadline))
+        if pv.tag == "witness":
+            report.witnesses.append(pv.witness)
+            return report
+        if pv.tag == "budget-exhausted":
+            report.notes.append(pv.detail)
+            return report
+
+        report.flaw = pv.flaw
+        flaw = sorted(pv.flaw)
         if not flaw:
             report.certificate = decompose(g, genus_budget, timeout=time_left(deadline))
             report.bound = genus_bound(report.certificate)

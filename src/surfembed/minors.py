@@ -9,6 +9,17 @@ sets of twin pattern vertices; "absent" is only ever reported after the
 whole candidate space has been enumerated.  When a time budget runs out
 the result says so explicitly instead of masquerading as absence.
 
+The search runs on integer bit masks.  Each search indexes its host once,
+vertex ids in sorted order becoming bit positions, so the smallest id of
+a set is its lowest bit.  Candidate branch sets, their neighbourhoods,
+the marks and the free part of the host are masks, and a model's branch
+sets become frozensets only when it is yielded.  A connected pattern is
+sought only inside the host component of its first branch set.  A
+packing recurses on a mask of the vertices still free, and skips every
+model whose support contains the drop of a model whose residue already
+failed, since that leaves a subgraph of the failed residue (int.bit_count
+needs Python 3.10).
+
 The verifier shares no logic with the search.  It re-derives every
 invariant (disjointness, connectivity, edge realization) directly from
 the two graphs, so a bug in the search cannot hide behind itself.
@@ -149,40 +160,131 @@ def verify_marked_model(
     return (not errs, errs)
 
 
-def _connected_subsets(g, allowed, seeds, cap, ticker):
-    """Yield every connected subset of `allowed` with at most `cap` vertices
-    whose seed (smallest usable id, or the forced root) is in `seeds`.
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _Host:
+    """A host graph indexed once for the search: vertex ids in sorted
+    order become bit positions, so the smallest id of a set is the lowest
+    bit of its mask, and nbr[i] is the neighbourhood mask of bit i."""
+
+    __slots__ = ("ids", "bit", "nbr")
+
+    def __init__(self, g: Graph):
+        self.ids = sorted(g.vertices)
+        self.bit = {v: i for i, v in enumerate(self.ids)}
+        self.nbr = [self.mask(g.neighbors(v)) for v in self.ids]
+
+    def mask(self, vs) -> int:
+        bit = self.bit
+        return sum(1 << bit[v] for v in vs)
+
+    def branch_set(self, mask: int, seed: int) -> frozenset[int]:
+        """The ids of a connected mask, inserted in the order the subset
+        enumerator adds them: breadth first from the seed bit, lower
+        neighbours first.  Equal frozensets built in different orders can
+        iterate in different orders, so this fixes what a later walk over
+        a branch set sees."""
+        nbr = self.nbr
+        order, seen = [seed], 1 << seed
+        for i in order:
+            new = nbr[i] & mask & ~seen
+            seen |= new
+            order.extend(_bits(new))
+        ids = self.ids
+        return frozenset(ids[i] for i in order)
+
+    def edge_count(self, mask: int) -> int:
+        nbr = self.nbr
+        return sum((nbr[i] & mask).bit_count() for i in _bits(mask)) // 2
+
+    def components(self, mask: int) -> list[int]:
+        """The vertex masks of the components of the subgraph on mask."""
+        nbr = self.nbr
+        comps = []
+        while mask:
+            comp = grow = mask & -mask
+            while grow:
+                reach = 0
+                for i in _bits(grow):
+                    reach |= nbr[i]
+                grow = reach & mask & ~comp
+                comp |= grow
+            comps.append(comp)
+            mask &= ~comp
+        return comps
+
+
+def _connected_subsets(nbr: list[int], allowed: int, seeds, cap: int, ticker):
+    """Yield (mask, neighbourhood mask) for every connected subset of the
+    bits of `allowed` with at most `cap` vertices whose seed (lowest
+    usable bit, or the forced root) is in `seeds`.
 
     Each subset comes out exactly once: frontier vertices are decided
-    include-or-ban in a fixed order, so no two recursion paths build the
-    same set.
+    include-or-ban in a fixed order, so no two branches of the search
+    build the same set.  The neighbourhood mask is the union of the
+    members' nbr masks, grown as each vertex joins.
     """
     for seed, others in seeds:
         usable = allowed & others
-
-        def rec(chosen, frontier, banned):
+        start = nbr[seed] & usable
+        # depth first, children pushed in reverse so the first is next
+        stack = [(1 << seed, nbr[seed], 1, _bits(start), start, 0)]
+        while stack:
+            chosen, near, size, frontier, front, banned = stack.pop()
             ticker()
-            yield frozenset(chosen)
-            if len(chosen) >= cap:
-                return
-            for i, u in enumerate(frontier):
-                newly_banned = banned | set(frontier[:i])
-                block = set(chosen) | newly_banned | set(frontier)
-                growth = tuple(w for w in g.neighbors(u) if w in usable and w not in block)
-                yield from rec(chosen + (u,), frontier[i + 1 :] + growth, newly_banned)
+            yield chosen, near
+            if size >= cap:
+                continue
+            if size + 1 == cap:
+                # the children are leaves: yield them without a frontier
+                for u in frontier:
+                    ticker()
+                    yield chosen | 1 << u, near | nbr[u]
+                continue
+            # banning a frontier vertex keeps it in the frontier mask, so
+            # the block is the same for every branch; the branches are
+            # pushed last first, so `later` holds the frontier after u
+            open_ = usable & ~(chosen | banned | front)
+            later = 0
+            for i in range(len(frontier) - 1, -1, -1):
+                u = frontier[i]
+                ubit = 1 << u
+                fresh = nbr[u] & open_
+                stack.append((
+                    chosen | ubit,
+                    near | nbr[u],
+                    size + 1,
+                    frontier[i + 1 :] + _bits(fresh),
+                    later | fresh,
+                    banned | (front & ~(later | ubit)),
+                ))
+                later |= ubit
 
-        start_frontier = tuple(w for w in g.neighbors(seed) if w in usable)
-        yield from rec((seed,), start_frontier, set())
 
-
-def _seed_plan(allowed: set[int], root: int | None, above: int):
+def _seed_plan(allowed: int, root: int | None, above: int):
+    """(seed bit, mask of the bits a subset grown from it may use) pairs:
+    the root alone when one is forced, else every allowed bit above
+    `above`, each taking only larger bits."""
     if root is not None:
-        if root not in allowed:
+        if not allowed >> root & 1:
             return []
-        return [(root, frozenset(allowed))]
-    # seed = smallest id of the subset; later vertices must be larger
-    order = sorted(allowed)
-    return [(v, frozenset(u for u in order if u > v)) for v in order if v > above]
+        return [(root, allowed)]
+    # seed = lowest bit of the subset; later bits must be larger
+    plan = []
+    rest = allowed >> (above + 1) << (above + 1)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        plan.append((low.bit_length() - 1, rest))
+    return plan
 
 
 def _twin_predecessors(
@@ -241,18 +343,32 @@ def _model_stream(
     h_marked: frozenset[int] = frozenset(),
     roots: dict[int, int] | None = None,
     deadline: float | None = None,
+    host: _Host | None = None,
+    free: int | None = None,
+    failed: list[int] | None = None,
 ):
     """Yield every minor model of h in g, marked constraints included, up
     to swapping the branch sets of twin pattern vertices.
 
     roots pins a pattern vertex's branch set to contain a given host
     vertex.  A twin swap keeps the support, the marks and the roots, so
-    exhaustion of this generator still certifies absence.
+    exhaustion of this generator still certifies absence.  A connected
+    pattern has a connected support, so once the first branch set is
+    placed the rest are sought only in its host component.
+
+    A packing searches the subgraph on the bits of `free` of an index
+    `host` of g, built once, and passes the drops (support minus the hub)
+    that already failed it in `failed`: a placement whose partial support
+    contains one of them is skipped.  The search runs on bit masks; the
+    branch sets of a model become frozensets only when it is yielded.
     """
     roots = roots or {}
-    if set(h.vertices) and not g.vertices:
+    host = host or _Host(g)
+    free = (1 << len(host.ids)) - 1 if free is None else free
+    m_free = host.edge_count(free)
+    if h.m > m_free or h.n > free.bit_count():
         return
-    if h.m > g.m or h.n > g.n:
+    if any(roots[p] not in host.bit for p in h.vertices if p in roots):
         return
     counter = [0]
 
@@ -266,43 +382,60 @@ def _model_stream(
     order = sorted(
         h.vertices, key=lambda p: (p not in roots, -h.degree(p), p)
     )
-    nbrs = {p: [q for q in h.neighbors(p)] for p in h.vertices}
+    pos = {p: i for i, p in enumerate(order)}
     twin_before = _twin_predecessors(h, order, h_marked, roots)
-    edge_budget = g.m - h.m
+    root_bits = [host.bit[roots[p]] if p in roots else None for p in order]
+    steps = [
+        (
+            [pos[q] for q in h.neighbors(p) if pos[q] < i],
+            sum(1 for q in h.neighbors(p) if pos[q] > i),
+            p in h_marked,
+            pos[twin_before[p]] if p in twin_before else None,
+        )
+        for i, p in enumerate(order)
+    ]
+    nbr = host.nbr
+    marked = host.mask(v for v in g_marked if v in host.bit)
+    comps = host.components(free) if len(h.components()) == 1 else None
+    edge_budget = m_free - h.m
+    placed = [0] * len(order)
 
-    def place(idx: int, avail: set[int], placed: dict[int, frozenset[int]], spent: int):
+    def place(idx: int, avail: int, used: int, spent: int):
         ticker()
         if idx == len(order):
-            connectors = _resolve_connectors(g, h, placed)
+            bsets = {}
+            for p, m, root in zip(order, placed, root_bits):
+                bsets[p] = host.branch_set(m, (m & -m).bit_length() - 1 if root is None else root)
+            connectors = _resolve_connectors(g, h, bsets)
             if connectors is not None:
-                yield dict(placed), connectors
+                yield bsets, connectors
             return
-        p = order[idx]
-        cap = min(len(avail) - (len(order) - idx - 1), edge_budget - spent + 1)
+        cap = min(avail.bit_count() - (len(order) - idx - 1), edge_budget - spent + 1)
         if cap < 1:
             return
-        placed_nbrs = [placed[q] for q in nbrs[p] if q in placed]
-        unplaced_deg = sum(1 for q in nbrs[p] if q not in placed)
-        need_mark = p in h_marked
-        above = min(placed[twin_before[p]]) if p in twin_before else -1
-        seeds = _seed_plan(avail, roots.get(p), above)
-        for cand in _connected_subsets(g, avail, seeds, cap, ticker):
-            if need_mark and not (cand & g_marked):
+        placed_nbrs, unplaced_deg, need_mark, twin = steps[idx]
+        placed_nbrs = [placed[j] for j in placed_nbrs]
+        above = -1 if twin is None else (placed[twin] & -placed[twin]).bit_length() - 1
+        seeds = _seed_plan(avail, root_bits[idx], above)
+        for cand, near in _connected_subsets(nbr, avail, seeds, cap, ticker):
+            if need_mark and not cand & marked:
                 continue
-            hit_all = True
             for bs in placed_nbrs:
-                if not any(w in bs for v in cand for w in g.neighbors(v)):
-                    hit_all = False
+                if not near & bs:
                     break
-            if not hit_all:
-                continue
-            if unplaced_deg:
-                rim = {w for v in cand for w in g.neighbors(v) if w in avail and w not in cand}
-                if len(rim) < unplaced_deg:
+            else:
+                if unplaced_deg and (near & avail & ~cand).bit_count() < unplaced_deg:
                     continue
-            yield from place(idx + 1, avail - cand, {**placed, p: cand}, spent + len(cand) - 1)
+                support = used | cand
+                if failed and any(not drop & ~support for drop in failed):
+                    continue
+                rest = avail & ~cand
+                if comps is not None and idx == 0:
+                    rest &= next(c for c in comps if c & cand)
+                placed[idx] = cand
+                yield from place(idx + 1, rest, support, spent + cand.bit_count() - 1)
 
-    yield from place(0, set(g.vertices), {}, 0)
+    yield from place(0, free, 0, 0)
 
 
 def _first_model(stream, wrap) -> MinorResult:
@@ -372,44 +505,63 @@ def _pack(
     the partial packing is only extended greedily; when they do not fit at
     the top level, which does not depend on z, only the first hub vertex
     is tried.
+
+    The recursion works on a mask of the free host vertices.  A failure
+    below a backtracking level is certified (exhausted, or refused by the
+    count), so its drop goes on that level's failed list and the stream
+    skips any later model whose support contains it.  A drop is listed
+    only when the skipped models could not have reached a longer partial
+    packing than the best so far, so complete and incomplete results are
+    the ones the unpruned search returns.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     deadline = deadline_after(timeout)
     shared = 0 if hub is None else 1
+    host = _Host(g)
     best: list[MinorModel] = []
     best_hub: int | None = None
 
-    def fits(k: int, host: Graph) -> bool:
-        return k * (h.n - shared) + shared <= host.n and k * h.m <= host.m
+    def fits(k: int, free: int) -> bool:
+        return k * (h.n - shared) + shared <= free.bit_count() and k * h.m <= host.edge_count(free)
 
-    def recurse(k: int, host: Graph, z: int | None, acc: list[MinorModel]):
+    def recurse(k: int, free: int, z: int | None, acc: list[MinorModel]):
         nonlocal best, best_hub
         if len(acc) > len(best):
             best, best_hub = list(acc), z
         if k == 0:
             return list(acc)
-        if h.n > host.n or h.m > host.m:
-            return None
-        backtrack = fits(k, host)
+        backtrack = fits(k, free)
         roots = None if z is None else {hub: z}
+        keep = 0 if z is None else 1 << host.bit[z]
+        failed: list[int] = []
         for bsets, connectors in _model_stream(
-            host, h, g_marked=g_marked, h_marked=h_marked, roots=roots, deadline=deadline
+            g, h, g_marked=g_marked, h_marked=h_marked, roots=roots, deadline=deadline,
+            host=host, free=free, failed=failed,
         ):
             m = MinorModel(bsets, connectors)
-            rest = recurse(k - 1, host.remove_vertices(m.support() - {z}), z, acc + [m])
+            drop = host.mask(m.support()) & ~keep
+            rest = recurse(k - 1, free & ~drop, z, acc + [m])
             if rest is not None or not backtrack:
                 return rest
+            # a later model whose drop contains this one leaves a subgraph
+            # of this residue, which fails too.  Its subtree holds at most
+            # n - 1 copies, or len(acc) + 1 when this residue held no model
+            # (then `best` is still len(acc) + 1 long); the drop is listed
+            # only when skipping that subtree cannot change `best`
+            if len(best) <= len(acc) + 1 or len(best) >= n - 1:
+                failed.append(drop)
         return None
 
+    free = (1 << g.n) - 1
     hubs: list[int | None] = [None]
     if hub is not None:
         hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-        if not fits(n, g):
+        if not fits(n, free):
             hubs = hubs[:1]
     try:
         for z in hubs:
-            got = recurse(n, g, z, [])
+            got = recurse(n, free, z, [])
             if got is not None:
                 return PackResult(got, complete=True, exhausted=True, hub_vertex=z)
     except SearchTimeout:

@@ -313,3 +313,37 @@ def has_minor_by_partition(
             ) and all(v in parts[at[p]] for p, v in roots.items()):
                 return True
     return False
+
+
+def connected_subsets_by_sets(g: Graph, allowed, seeds, cap):
+    """The set-based connected-subset enumerator the mask kernel replaced,
+    kept as the reference for its order: every connected subset of
+    `allowed` with at most `cap` vertices whose seed (smallest usable id,
+    or the forced root) is in `seeds`, frontier vertices decided
+    include-or-ban in a fixed order."""
+    for seed, others in seeds:
+        usable = allowed & others
+
+        def rec(chosen, frontier, banned):
+            yield frozenset(chosen)
+            if len(chosen) >= cap:
+                return
+            for i, u in enumerate(frontier):
+                newly_banned = banned | set(frontier[:i])
+                block = set(chosen) | newly_banned | set(frontier)
+                growth = tuple(w for w in g.neighbors(u) if w in usable and w not in block)
+                yield from rec(chosen + (u,), frontier[i + 1 :] + growth, newly_banned)
+
+        start_frontier = tuple(w for w in g.neighbors(seed) if w in usable)
+        yield from rec((seed,), start_frontier, set())
+
+
+def seed_plan_by_sets(allowed: set[int], root: int | None, above: int):
+    """The seed plan matching connected_subsets_by_sets: the root alone,
+    or every allowed id above `above` with the larger ids it may use."""
+    if root is not None:
+        if root not in allowed:
+            return []
+        return [(root, frozenset(allowed))]
+    order = sorted(allowed)
+    return [(v, frozenset(u for u in order if u > v)) for v in order if v > above]

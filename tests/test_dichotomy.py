@@ -411,6 +411,44 @@ def test_classify_timeout_bounds_the_whole_call():
     assert any("deadline" in note for note in out["notes"])
 
 
+# G(16, 0.35) has no planarizing set of size 0, and the search for three
+# disjoint K5 models in it runs for minutes; the timeout must reach it
+_PLANAR_VERTEX_TIMEOUT_SCRIPT = """
+import json, random, time
+from oracles import random_graph
+from surfembed.core import SearchTimeout
+from surfembed.dichotomy import classify, planar_vertex_flaws
+rng = random.Random(5)
+g = [random_graph(rng, 16, 0.35) for _ in range(3)][-1]
+start = time.monotonic()
+rep = classify(g, 3, 0, 1, timeout=1.0)
+elapsed = time.monotonic() - start
+try:
+    planar_vertex_flaws(g, 3, 0, timeout=0.5)
+    raised = False
+except SearchTimeout:
+    raised = True
+print(json.dumps({"elapsed": elapsed, "witnesses": len(rep.witnesses),
+                  "flaw": rep.flaw is not None, "certified": rep.certificate is not None,
+                  "notes": rep.notes, "raised": raised}))
+"""
+
+
+def test_classify_timeout_reaches_planar_vertex_flaws():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(surfembed.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PLANAR_VERTEX_TIMEOUT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert out["elapsed"] < 10
+    assert out["raised"]
+    assert out["witnesses"] == 0 and not out["flaw"] and not out["certified"]
+    assert out["notes"] == ["search deadline passed (1.0 s)"]
+
+
 # a shape that passes each kind's arity checks, with one empty path
 _EMPTY_PATH_SHAPES = {
     "star": ((), (0,)),

@@ -9,7 +9,14 @@ import networkx as nx
 import pytest
 
 import surfembed.minors as minors
-from oracles import connected_graphs_on, has_k4_minor, has_minor_by_partition, random_graph
+from oracles import (
+    connected_graphs_on,
+    connected_subsets_by_sets,
+    has_k4_minor,
+    has_minor_by_partition,
+    random_graph,
+    seed_plan_by_sets,
+)
 from surfembed.core import (
     Graph,
     MarkedGraph,
@@ -205,6 +212,92 @@ def test_model_stream_one_model_per_twin_orbit():
     assert sum(1 for _ in minors._model_stream(k5, k5)) == 1
     # the swap of the two sides is not a twin swap
     assert sum(1 for _ in minors._model_stream(k33, k33)) == 2
+
+
+def test_mask_enumerator_keeps_the_set_enumerator_order(rng):
+    # ids spread out so that bit positions and vertex ids differ
+    for trial in range(40):
+        n = rng.randrange(2, 10)
+        g = random_graph(rng, n, 0.45).relabel({v: 3 * v + 1 for v in range(n)})
+        host = minors._Host(g)
+
+        def ids(mask):
+            return {host.ids[i] for i in minors._bits(mask)}
+
+        vs = g.sorted_vertices()
+        allowed = {v for v in vs if rng.random() < 0.8}
+        mask = host.mask(allowed)
+        for cap in (1, 2, 3, n):
+            for root in (None, rng.choice(vs)):
+                above = rng.choice([-1] + vs)
+                expect = list(connected_subsets_by_sets(
+                    g, allowed, seed_plan_by_sets(allowed, root, above), cap))
+                seeds = minors._seed_plan(
+                    mask, None if root is None else host.bit[root],
+                    -1 if above < 0 else host.bit[above])
+                got = list(minors._connected_subsets(host.nbr, mask, seeds, cap, lambda: None))
+                assert [ids(c) for c, _ in got] == expect, (trial, cap, root, above)
+                for (c, near), want in zip(got, expect):
+                    assert ids(near) == {w for v in want for w in g.neighbors(v)}
+                    # built in the order the set enumerator added them, so
+                    # the frozensets also iterate alike
+                    seed = host.bit[root] if root is not None else (c & -c).bit_length() - 1
+                    assert list(host.branch_set(c, seed)) == list(want)
+
+
+def test_connected_pattern_stays_in_one_host_component(monkeypatch):
+    # the K5 component holds no K33; once a first branch set lands there,
+    # the other branch sets are not sought in the two K33 components
+    k33 = complete_bipartite(3, 3)
+    host = disjoint_union([complete_graph(5), k33, k33])
+    calls = [0]
+    subsets = minors._connected_subsets
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return subsets(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "_connected_subsets", counted)
+    res = find_minor(host, k33)
+    assert res.found and res.model.support() == set(range(5, 11))
+    assert calls[0] <= 20
+    calls[0] = 0
+    res = pack_disjoint(host, k33, 2)
+    assert res.complete
+    _check_packing(host, k33, res)
+    assert calls[0] <= 40
+
+
+def test_pack_skips_supports_that_already_failed(monkeypatch):
+    # a 4-cycle with two pendant edges has one cycle, so no two K3 models
+    # meet in one vertex; once a model's residue fails, no model whose
+    # support contains that model's drop is streamed again (80 without)
+    g = Graph(range(6), [(0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (3, 5)])
+    received = [0]
+    stream = minors._model_stream
+
+    def counted(*args, **kwargs):
+        for model in stream(*args, **kwargs):
+            received[0] += 1
+            yield model
+
+    monkeypatch.setattr(minors, "_model_stream", counted)
+    res = pack_bouquet(g, complete_graph(3), hub=0, n=2)
+    assert not res.complete and res.exhausted and len(res.models) == 1
+    assert received[0] <= 10
+
+
+def test_pack_skip_keeps_the_best_partial_packing():
+    # four disjoint K2 models do not fit.  The unpruned search first
+    # reaches three copies under {0}, {4, 5, 6}; a top-level skip of every
+    # superset of a failed drop, whatever the best so far, would cut that
+    # subtree and return three copies starting {0}, {5} instead
+    g = Graph(range(8), [(0, 5), (1, 7), (2, 3), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
+    res = pack_disjoint(g, path_graph(2), 4)
+    assert not res.complete and res.exhausted
+    assert [m.branch_sets for m in res.models] == [
+        {0: {0}, 1: {4, 5, 6}}, {0: {1}, 1: {7}}, {0: {2}, 1: {3}},
+    ]
 
 
 def test_icosahedron_has_no_k5_minor():
