@@ -8,6 +8,7 @@ emits can be fed back through `verify` unchanged.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ from .embeddings import (
     genus_of_rotation,
     min_genus,
     planarity,
-    validate_rotation,
     verify_kuratowski,
 )
 from .minors import (
@@ -299,8 +299,7 @@ def _cmd_verify(args) -> int:
         while isinstance(d.get("rotation"), dict) and "rotation" in d["rotation"]:
             d = d["rotation"]
         rho = sio.rotation_from_json(d)
-        try:
-            validate_rotation(_plain(g), rho)
+        try:  # validates rho first, through trace_faces
             genus = genus_of_rotation(_plain(g), rho)
             ok, errs = True, []
         except ValueError as exc:
@@ -347,7 +346,10 @@ def _cmd_catalog_check(args) -> int:
     return 2 if undecided else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    builds a fresh namespace each time, so no state carries over."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
 
@@ -450,8 +452,11 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("-n", "--level", type=int, required=True)
     sp.add_argument("--minor-timeout", type=float, default=60.0)
     sp.set_defaults(func=_cmd_catalog_check)
+    return p
 
-    args = p.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -9,10 +9,14 @@ so it splits the graph into blocks and settles every planar block with one
 left-right planarity run, whose embedding it keeps.  Only non-planar blocks
 are searched: a depth-first search on an explicit stack over incremental face
 tracings.  Every face of a 2-connected block holds a cycle, so it takes at
-least girth darts; that bounds the faces still achievable at each node and
-gives each block a certified lower bound, max(1, Euler bound), at which the
-search stops as soon as an embedding reaches it.  The block rotations are
-joined at the cut vertices and the whole rotation is re-traced before it is
+least girth darts; that gives each block a certified lower bound,
+max(1, Euler bound), at which the search stops as soon as an embedding
+reaches it.  At each node the open face also still needs girth minus its
+length in darts, and one or two more when its last dart cannot close it;
+what is left bounds the faces still achievable.  That bound cuts only
+subtrees without an embedding good enough to be recorded, so the answers
+are the ones the plain girth bound gives.  The block rotations are joined
+at the cut vertices and the whole rotation is re-traced before it is
 returned.
 
 Planarity has two modes, and every left-right (LR) run is a call of
@@ -96,22 +100,18 @@ def trace_faces(g: Graph, rot: RotationSystem) -> tuple[tuple[tuple[int, int], .
 def genus_of_rotation(g: Graph, rot: RotationSystem) -> int:
     """Euler genus count: sum over components of (2 - V + E - F) / 2."""
     faces = trace_faces(g, rot)
-    face_comp: dict[frozenset[int], int] = {}
     comps = g.components()
-
-    def comp_of(v: int) -> int:
-        for i, c in enumerate(comps):
-            if v in c:
-                return i
-        raise KeyError(v)
-
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    e_count = [0] * len(comps)
+    for u, _ in g.edges:
+        e_count[comp_of[u]] += 1
     f_count = [0] * len(comps)
     for f in faces:
-        f_count[comp_of(f[0][0])] += 1
+        f_count[comp_of[f[0][0]]] += 1
     total = 0
     for i, c in enumerate(comps):
         vs = len(c)
-        es = sum(1 for e in g.edges if e[0] in c)
+        es = e_count[i]
         fc = f_count[i] if es else 1
         euler = vs - es + fc
         if (2 - euler) % 2:
@@ -183,11 +183,27 @@ def _search_block(
     Depth-first search over incremental face tracings, on an explicit stack.
     Rotations are built as successor pairs over the out-darts at each vertex
     while faces are traced, so each full leaf is exactly one rotation system.
-    A node is pruned when the faces still achievable cannot reach the target:
-    every face of a 2-connected graph that is not an edge holds a cycle, so
-    it takes at least girth darts.  The search stops at the first embedding
-    of genus `lower`, a certified lower bound.  Raises SearchTimeout on
-    deadline.
+    The search stops at the first embedding of genus `lower`, a certified
+    lower bound.  Raises SearchTimeout on deadline.
+
+    Open-face bound.  Every face of a block with minimum degree 2 is a
+    closed walk that holds a cycle, so it takes at least girth darts.  After
+    a step the open face holds L darts, and it can close only at the tail of
+    its first dart.  It therefore still needs r >= girth - L darts, at least
+    1 if its last dart does not end there, and at least 2 if moreover the
+    dart back there is missing or used.  The darts left after those r can
+    close at most (left - r) // girth more faces, so a node is pruned when
+    the closed faces, plus 1 for the open face, plus that count stay below
+    the faces needed.  The bound prunes only subtrees that hold no leaf with
+    enough faces, and `need` only grows, so the nodes that survive are
+    visited in the same order as without it and record the same incumbents:
+    the same genus and rotation, from fewer nodes.
+
+    The candidates that may follow x at its vertex v are not listed: a scan
+    index on the stack tries f0 first, then the out-darts of v in dart
+    order.  Every change made below a node is undone before the search
+    returns to it, so testing a candidate when it is tried gives the same
+    answer as testing it when the node was entered.
     """
     verts = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
     vn, en, nd = len(verts), g.m, 2 * g.m
@@ -222,30 +238,32 @@ def _search_block(
     best_succ: list[int] | None = None
     nodes = 0
 
-    # the current node: x is the out-dart at the vertex the open face just
-    # reached, f0 the dart that opened it; cands are the darts that may
-    # follow x in the rotation there, and i the next one to try
+    # the current node: x is the out-dart at vertex v that the open face
+    # just reached, sx the start of x's chain, f0 the dart that opened the
+    # face, fd the darts on closed faces; i is the next out-dart of v to try
+    # after f0, and -1 while f0 itself is still to be tried
     used[0] = True
-    x, f0, closed, used_cnt = rev[0], 0, 0, 1
-    cands: list[int] | None = None  # None: not built yet for this node
+    x, f0, closed, fd, used_cnt = rev[0], 0, 0, 0, 1
+    v = tail[x]
+    sx, end, i = chain_start[x], lo[v + 1], -1
     stack: list[tuple] = []
     while True:
-        if cands is None:
-            sx = chain_start[x]
-            v = tail[x]
-            cands = []
-            for y in range(lo[v], lo[v + 1]):
-                if pred[y] != -1 or (y == sx and chain_size[y] != deg[v]):
-                    continue
-                if y == f0:
-                    cands.insert(0, y)
-                elif not used[y]:
-                    cands.append(y)
-            i = 0
-        if i == len(cands):
+        if i < 0:
+            i = lo[v]
+            y = f0
+            if tail[y] != v:
+                continue
+        elif i < end:
+            y = i
+            i += 1
+            if used[y]:  # f0 is used too, so it is not tried twice
+                continue
+        else:
             if not stack:
                 break
-            x, f0, closed, used_cnt, sx, cands, i, y, mark = stack.pop()
+            x, f0, closed, fd, used_cnt, sx, i, y, mark = stack.pop()
+            v = tail[x]
+            end = lo[v + 1]
             used[mark] = False
             succ[x] = -1
             pred[y] = -1
@@ -255,11 +273,11 @@ def _search_block(
                 chain_end[sx] = x
                 chain_start[ey] = y
             continue
-        y = cands[i]
-        i += 1
+        if pred[y] != -1 or (y == sx and chain_size[y] != deg[v]):
+            continue
         if y == f0:  # y closes the open face
             c_closed = closed + 1
-            mark = used.index(False)
+            mark = used.index(False, f0)  # every dart below f0 is used
             if mark == nd:  # every dart lies on a face
                 if c_closed >= need:
                     best_f = c_closed
@@ -269,18 +287,27 @@ def _search_block(
                         break
                     need = best_f + 2
                 continue
-            c_f0 = mark
+            c_f0, c_fd = mark, used_cnt
         else:
             c_closed = closed
             mark = y
-            c_f0 = f0
+            c_f0, c_fd = f0, fd
         nodes += 1
         if deadline is not None and nodes & 4095 == 0 and time.monotonic() > deadline:
             raise SearchTimeout
-        if c_closed + 1 + (nd - used_cnt - 1) // girth < need:
+        # darts the open face, now ending with mark, still needs to close
+        r = girth - (used_cnt + 1 - c_fd)
+        if r < 2:
+            h, s = head[mark], tail[c_f0]
+            if h != s:
+                back = dart_of.get((h, s))
+                r = 1 if back is not None and not used[back] else 2
+            elif r < 0:
+                r = 0
+        if c_closed + 1 + (nd - used_cnt - 1 - r) // girth < need:
             continue
         # descend: x -> y becomes a rotation pair, mark joins the open face
-        stack.append((x, f0, closed, used_cnt, sx, cands, i, y, mark))
+        stack.append((x, f0, closed, fd, used_cnt, sx, i, y, mark))
         succ[x] = y
         pred[y] = x
         if y != sx:  # join the chains of x and y unless y closes x's cycle
@@ -289,8 +316,9 @@ def _search_block(
             chain_start[ey] = sx
             chain_size[sx] += chain_size[y]
         used[mark] = True
-        x, f0, closed, used_cnt = rev[mark], c_f0, c_closed, used_cnt + 1
-        cands = None
+        x, f0, closed, fd, used_cnt = rev[mark], c_f0, c_closed, c_fd, used_cnt + 1
+        v = tail[x]
+        sx, end, i = chain_start[x], lo[v + 1], -1
 
     if best_succ is None:
         return None

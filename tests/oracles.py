@@ -347,3 +347,131 @@ def seed_plan_by_sets(allowed: set[int], root: int | None, above: int):
         return [(root, frozenset(allowed))]
     order = sorted(allowed)
     return [(v, frozenset(u for u in order if u > v)) for v in order if v > above]
+
+
+def search_block_by_lists(
+    g: Graph, girth: int, lower: int, budget: int
+) -> tuple[int, dict[int, tuple[int, ...]]] | None:
+    """The genus search the open-face bound and the list-free kernel
+    replaced, kept as the reference for their answers: minimum genus of a
+    non-planar 2-connected block if it is <= budget, with the rotation it
+    finds first; None if it exceeds the budget.
+
+    Depth-first search over incremental face tracings, on an explicit stack.
+    Rotations are built as successor pairs over the out-darts at each vertex
+    while faces are traced, so each full leaf is exactly one rotation system.
+    A node is pruned when the faces still achievable cannot reach the target:
+    every face of a 2-connected graph that is not an edge holds a cycle, so
+    it takes at least girth darts.  The search stops at the first embedding
+    of genus `lower`, a certified lower bound.
+    """
+    verts = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+    vn, en, nd = len(verts), g.m, 2 * g.m
+    vidx = {v: i for i, v in enumerate(verts)}
+    # darts are numbered vertex by vertex, so the out-darts of vertex i are
+    # lo[i] .. lo[i + 1] - 1 and the lowest unused dart starts the next face
+    tail: list[int] = []
+    head: list[int] = []
+    lo = [0]
+    for i, v in enumerate(verts):
+        for w in g.neighbors(v):
+            tail.append(i)
+            head.append(vidx[w])
+        lo.append(len(tail))
+    dart_of = {(t, h): d for d, (t, h) in enumerate(zip(tail, head))}
+    rev = [dart_of[h, t] for t, h in zip(tail, head)]
+    deg = [lo[i + 1] - lo[i] for i in range(vn)]
+
+    succ = [-1] * nd  # successor among out-darts at the same vertex
+    pred = [-1] * nd
+    used = [False] * (nd + 1)  # used[nd] stays False: "no dart left"
+    chain_start = list(range(nd))  # valid when indexed by a chain end
+    chain_end = list(range(nd))  # valid when indexed by a chain start
+    chain_size = [1] * nd  # valid when indexed by a chain start
+
+    # faces needed for genus == budget, then for each better embedding; like
+    # every face count it has the parity of en - vn, so the bound below
+    # needs no parity rounding
+    need = en - vn + 2 - 2 * budget
+    f_stop = en - vn + 2 - 2 * lower
+    best_f = -1
+    best_succ: list[int] | None = None
+
+    # the current node: x is the out-dart at the vertex the open face just
+    # reached, f0 the dart that opened it; cands are the darts that may
+    # follow x in the rotation there, and i the next one to try
+    used[0] = True
+    x, f0, closed, used_cnt = rev[0], 0, 0, 1
+    cands: list[int] | None = None  # None: not built yet for this node
+    stack: list[tuple] = []
+    while True:
+        if cands is None:
+            sx = chain_start[x]
+            v = tail[x]
+            cands = []
+            for y in range(lo[v], lo[v + 1]):
+                if pred[y] != -1 or (y == sx and chain_size[y] != deg[v]):
+                    continue
+                if y == f0:
+                    cands.insert(0, y)
+                elif not used[y]:
+                    cands.append(y)
+            i = 0
+        if i == len(cands):
+            if not stack:
+                break
+            x, f0, closed, used_cnt, sx, cands, i, y, mark = stack.pop()
+            used[mark] = False
+            succ[x] = -1
+            pred[y] = -1
+            if y != sx:
+                ey = chain_end[sx]
+                chain_size[sx] -= chain_size[y]
+                chain_end[sx] = x
+                chain_start[ey] = y
+            continue
+        y = cands[i]
+        i += 1
+        if y == f0:  # y closes the open face
+            c_closed = closed + 1
+            mark = used.index(False)
+            if mark == nd:  # every dart lies on a face
+                if c_closed >= need:
+                    best_f = c_closed
+                    best_succ = succ.copy()
+                    best_succ[x] = y
+                    if best_f >= f_stop:
+                        break
+                    need = best_f + 2
+                continue
+            c_f0 = mark
+        else:
+            c_closed = closed
+            mark = y
+            c_f0 = f0
+        if c_closed + 1 + (nd - used_cnt - 1) // girth < need:
+            continue
+        # descend: x -> y becomes a rotation pair, mark joins the open face
+        stack.append((x, f0, closed, used_cnt, sx, cands, i, y, mark))
+        succ[x] = y
+        pred[y] = x
+        if y != sx:  # join the chains of x and y unless y closes x's cycle
+            ey = chain_end[y]
+            chain_end[sx] = ey
+            chain_start[ey] = sx
+            chain_size[sx] += chain_size[y]
+        used[mark] = True
+        x, f0, closed, used_cnt = rev[mark], c_f0, c_closed, used_cnt + 1
+        cands = None
+
+    if best_succ is None:
+        return None
+    rot: dict[int, tuple[int, ...]] = {}
+    for v in range(vn):
+        cyc = [lo[v]]
+        d = best_succ[lo[v]]
+        while d != lo[v]:
+            cyc.append(d)
+            d = best_succ[d]
+        rot[verts[v]] = tuple(verts[head[d]] for d in cyc)
+    return (2 - vn + en - best_f) // 2, rot

@@ -7,10 +7,11 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import planar_by_subdivision, random_graph
-from surfembed import lr
+from oracles import planar_by_subdivision, random_graph, search_block_by_lists
+from surfembed import embeddings, lr
 from surfembed.core import (
     Graph,
+    blocks,
     complete_bipartite,
     complete_graph,
     cone,
@@ -175,6 +176,64 @@ def test_timed_out_genus_is_not_replayed():
     assert genus_of_rotation(g, res.rotation) == 3
     assert min_genus(g, 3, timeout=0.01).status == "timeout"
     assert min_genus(g, 3).genus == 3
+
+
+def _hard_blocks(rng: random.Random, count: int) -> list[Graph]:
+    """Non-planar blocks of seeded random graphs on 8 vertices."""
+    out: list[Graph] = []
+    while len(out) < count:
+        g = random_graph(rng, 8, rng.choice((0.55, 0.85)))
+        for be in blocks(g).blocks:
+            bg = g.edge_subgraph(be)
+            if not is_planar(bg):
+                out.append(bg)
+    return out
+
+
+def test_search_kernel_matches_the_list_kernel():
+    # the open-face bound and the scan index change how many nodes the
+    # search visits, never which incumbents it records
+    cases = [complete_graph(n) for n in range(5, 9)]
+    cases += [complete_bipartite(a, b) for a, b in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5))]
+    cases += [PETERSEN]
+    # this seed draws blocks of genus 2 above their lower bound 1, whose
+    # searches replace an incumbent or prove that none fits the budget
+    cases += _hard_blocks(random.Random(15), 24)
+    for g in cases:
+        girth = embeddings._girth(g)
+        lower = max(1, (3 - g.n + g.m - 2 * g.m // girth) // 2)
+        for budget in range(lower, lower + 3):
+            got = embeddings._search_block(g, girth, lower, budget, None)
+            want = search_block_by_lists(g, girth, lower, budget)
+            assert got == want, (sorted(g.edges), budget)
+
+
+class _CountingClock:
+    def __init__(self):
+        self.calls = 0
+
+    def monotonic(self) -> float:
+        self.calls += 1
+        return 0.0
+
+
+def test_open_face_bound_cuts_the_k9_search(monkeypatch):
+    # the search reads the clock once per 4096 nodes: 750 times for K9
+    # under the girth bound alone, about 181 times with the open-face bound
+    clock = _CountingClock()
+    monkeypatch.setattr(embeddings, "time", clock)
+    res = min_genus(complete_graph(9), 3, timeout=1e9)
+    assert res.status == "ok" and res.genus == 3
+    assert 0 < clock.calls <= 300
+
+
+def test_genus_of_rotation_over_many_components():
+    k5s = 3
+    g = disjoint_union([cycle_graph(3)] * 400 + [complete_graph(5)] * k5s)
+    res = min_genus(g, budget=k5s)
+    assert res.status == "ok" and res.genus == k5s
+    assert genus_of_rotation(g, res.rotation) == k5s
+    assert min_genus(g, budget=k5s - 1).status == "exceeds-budget"
 
 
 def test_min_genus_long_subdivided_block():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from surfembed.cli import main
+from surfembed.cli import _parser, main
 from surfembed.core import Graph, MarkedGraph, complete_bipartite, complete_graph, cycle_graph
 from surfembed.decompose import decompose
 from surfembed.dichotomy import star_comb
@@ -180,6 +180,41 @@ def test_cli_genus_rotation_verifies(tmp_path, capsys):
     rfile = _write(tmp_path, "rot.json", json.dumps(payload))
     assert main(["verify", "rotation", "--graph", _k5(tmp_path), "--witness", rfile,
                  "-n", str(payload["genus"])]) == 0
+
+
+def test_cli_verify_invalid_rotation_payload(tmp_path, capsys):
+    rfile = _write(tmp_path, "rot.json", json.dumps(
+        {"rotation": {"0": [1, 1, 2, 3], "1": [0, 2, 3, 4], "2": [0, 1, 3, 4],
+                      "3": [0, 1, 2, 4], "4": [0, 1, 2, 3]}}))
+    assert main(["verify", "rotation", "--json", "--graph", _k5(tmp_path),
+                 "--witness", rfile]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "verified": False,
+        "errors": ["rotation at 0 is not a permutation of its neighbors"],
+        "genus": None,
+    }
+
+
+def test_cli_builds_one_parser(tmp_path, capsys):
+    _parser.cache_clear()
+    assert main(["genus", "--budget", "1", _k5(tmp_path)]) == 0
+    assert main(["planar", _c4(tmp_path)]) == 0
+    info = _parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cli_calls_share_no_state(tmp_path, capsys):
+    k5 = _k5(tmp_path)
+    assert main(["genus", "--json", "--budget", "1", k5]) == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == 1
+    assert main(["genus", "--budget", "1", k5]) == 0
+    assert capsys.readouterr().out == "genus 1\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["genus", k5])  # --budget is required
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["genus", "--budget", "0", k5]) == 2
+    assert capsys.readouterr().out == "exceeds-budget: genus > 0\n"
 
 
 def test_cli_minor_catalog_spec(tmp_path, capsys):
