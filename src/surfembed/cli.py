@@ -304,6 +304,9 @@ def _cmd_verify(args) -> int:
             ok, errs = True, []
         except ValueError as exc:
             ok, errs, genus = False, [str(exc)], None
+        if ok and args.level is not None and genus != args.level:
+            errs = [f"rotation traces to genus {genus}, not the expected genus {args.level}"]
+            ok = False
         payload = {"verified": ok, "errors": errs, "genus": genus}
         _emit(args, payload, [f"verified genus {genus}" if ok else "invalid"])
         return 0 if ok else 1
@@ -444,7 +447,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--witness", required=True, help="JSON file to check")
     sp.add_argument("--pattern", default=None,
                     help="pattern file or catalog spec when not embedded")
-    sp.add_argument("-n", "--level", type=int, default=None)
+    sp.add_argument("-n", "--level", type=int, default=None,
+                    help="pattern level; for a rotation, the genus it must trace to")
     sp.add_argument("--cap", type=int, default=None)
     sp.set_defaults(func=_cmd_verify)
 

@@ -20,6 +20,49 @@ model whose support contains the drop of a model whose residue already
 failed, since that leaves a subgraph of the failed residue (int.bit_count
 needs Python 3.10).
 
+find_minor and find_marked_minor settle two kinds of absence before the
+whole-host search.  Both prune only what yields nothing: a model, a
+"found" and a "timeout" always come from the whole-host stream.
+
+Planarity.  Deleting and contracting edges keeps a plane embedding, so
+a non-planar pattern is no minor of a planar host.  A marked model of
+(h, W) in (g, U) extends to a model of the cone over W in the cone over
+U: the pattern apex gets the host apex, and each marked branch set holds
+a marked host vertex, which the host apex sees.  So a marked search
+compares the cones.
+
+Blocks.  Let h be 2-connected: connected, at least 3 vertices, no cut
+vertex, so h has minimum degree 2 and h - p is connected for every p.
+(A pendant vertex is what breaks the rule: the path on 3 vertices is a
+minor of itself but of neither of its blocks.)  Let B be a block of g.
+Every edge of g between two vertices of B lies in B, and every
+component K of g - E(B) that meets V(B) meets it in exactly one vertex
+c, since a path outside B between two of its vertices would enlarge the
+block.  The local instance on B: B itself; c marked when its K holds a
+mark; a root in K moved to its c.  B is skipped when two roots move to
+one vertex or a root lies outside B's component of g.
+
+A model (X_p) of h in g gives a local model in some block.  The support
+is connected, so it lies in one component C of g.  Take a cut vertex c
+of C.  At most one branch set X_q contains c.  The others avoid c, and
+h - q is connected with each of its edges realised by a host edge that
+avoids c, so they all lie in one component D of C - c.  Exactly one
+block at c meets D (two would close a cycle through c).  In the
+block-cut tree of C, direct the edge from c to that block and every
+other edge at c towards c.  The cut vertices use one edge each, so the
+blocks have one fewer outgoing edge than there are blocks, and some
+block B is a sink: at each of its cut vertices c, the branch sets that
+avoid c lie on B's side of c, so the K of c meets no branch set but the
+one holding c.  Project: Y_p is the set of c whose K meets X_p.  The
+Y_p are pairwise disjoint and non-empty; each is connected, since an
+edge of g either lies in B or has both ends in one K.  A host edge ab
+realising pq lies in B, since otherwise a and b would project to one
+vertex of both Y_p and Y_q.  A marked X_p projects to a Y_p with a
+local mark, and a root r of p moves into Y_p, so no two roots move to
+one vertex and none lies outside C.  Hence when h is 2-connected and no
+block holds a local model, h is absent from g.  Each block is searched
+on its vertex mask of the one host index.
+
 The verifier shares no logic with the search.  It re-derives every
 invariant (disjointness, connectivity, edge realization) directly from
 the two graphs, so a bug in the search cannot hide behind itself.
@@ -30,7 +73,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Edge, Graph, MarkedGraph, SearchTimeout, deadline_after, norm_edge
+from .core import (
+    Edge,
+    Graph,
+    MarkedGraph,
+    SearchTimeout,
+    blocks,
+    cone,
+    deadline_after,
+    norm_edge,
+)
+from .embeddings import is_planar, planarity
 
 
 @dataclass
@@ -438,10 +491,101 @@ def _model_stream(
     yield from place(0, free, 0, 0)
 
 
-def _first_model(stream, wrap) -> MinorResult:
-    """The first model of a _model_stream, wrapped, as a MinorResult."""
+def _planarity_refutes(
+    g: Graph, h: Graph, g_marked: frozenset[int], h_marked: frozenset[int]
+) -> bool:
+    """True when the cone over h's marks is non-planar and the cone over
+    g's marks is planar, so h is no (marked) minor of g.  Without marks a
+    cone is planar exactly when its graph is.
+
+    The boolean tests decide, the pattern first, so the host is tested
+    only once the pattern is known to be non-planar.  planarity() then
+    gives the evidence: a rotation of g's cone re-traced to genus 0 and a
+    Kuratowski witness of h's cone re-verified edge by edge."""
+    ch = cone(h, h_marked)[0]
+    if is_planar(ch):
+        return False
+    cg = cone(g, g_marked)[0]
+    if not is_planar(cg):
+        return False
+    return planarity(cg).planar and not planarity(ch).planar
+
+
+def _blocks_refute(
+    host: _Host,
+    g: Graph,
+    h: Graph,
+    g_marked: frozenset[int],
+    h_marked: frozenset[int],
+    roots: dict[int, int],
+    deadline: float | None,
+) -> bool:
+    """True when h is 2-connected, g has at least two blocks, and no
+    block holds a model of h under the projection of the module
+    docstring.  Each block is searched on its vertex mask of the whole
+    host index: every edge of g between two vertices of a block lies in
+    that block, so the subgraph on the mask is the block."""
+    if h.n < 3 or len(h.components()) != 1 or blocks(h).cut_vertices:
+        return False
+    bs = blocks(g).blocks
+    if len(bs) < 2:
+        return False
+    nbr = host.nbr
+    marked = host.mask(v for v in g_marked if v in host.bit)
+    rooted = {p: host.bit.get(r) for p, r in roots.items() if p in h.vertices}
+    everything = (1 << len(host.ids)) - 1
+    # largest first: when h is found, a block that holds it ends this stage
+    for be in sorted(bs, key=len, reverse=True):
+        inside = host.mask({v for e in be for v in e})
+        local_marks = marked & inside
+        proj = {i: i for i in _bits(inside)}  # bit -> the bit of B on its side
+        for comp in host.components(everything & ~inside):
+            touch = 0
+            for i in _bits(comp):
+                touch |= nbr[i]
+            touch &= inside  # one bit, or none in another component of g
+            if touch:
+                if comp & marked:
+                    local_marks |= touch
+                proj.update((i, touch.bit_length() - 1) for i in _bits(comp))
+        moved = {p: proj.get(r) for p, r in rooted.items()}
+        # two roots on one vertex: the stream would find nothing here
+        if None in moved.values() or len(set(moved.values())) < len(moved):
+            continue
+        for _ in _model_stream(
+            g, h,
+            g_marked=frozenset(host.ids[i] for i in _bits(local_marks)),
+            h_marked=h_marked,
+            roots={p: host.ids[r] for p, r in moved.items()},
+            deadline=deadline, host=host, free=inside,
+        ):
+            return False
+    return True
+
+
+def _search(
+    g: Graph,
+    h: Graph,
+    g_marked: frozenset[int],
+    h_marked: frozenset[int],
+    roots: dict[int, int] | None,
+    timeout: float | None,
+    wrap,
+) -> MinorResult:
+    """The first model of the whole-host _model_stream, wrapped, as a
+    MinorResult.  "absent" comes early when planarity or the blocks
+    refute h.  One deadline bounds the block searches and the stream."""
+    deadline = deadline_after(timeout)
+    host = _Host(g)
     try:
-        for bsets, connectors in stream:
+        if _planarity_refutes(g, h, g_marked, h_marked) or _blocks_refute(
+            host, g, h, g_marked, h_marked, roots or {}, deadline
+        ):
+            return MinorResult("absent")
+        for bsets, connectors in _model_stream(
+            g, h, g_marked=g_marked, h_marked=h_marked, roots=roots,
+            deadline=deadline, host=host,
+        ):
             return MinorResult("found", wrap(bsets, connectors))
     except SearchTimeout:
         return MinorResult("timeout")
@@ -456,12 +600,14 @@ def find_minor(
 ) -> MinorResult:
     """Search g for a minor model of h.
 
-    Returns found with a verified-shape model, absent after exhausting
-    the space, or timeout.  roots narrows the search as described in
-    _model_stream.
+    Returns found with a verified-shape model, absent, or timeout.  roots
+    narrows the search as described in _model_stream.  Before the
+    exhaustive search, absence is settled when h is non-planar and g
+    planar, or when h is 2-connected and none of g's blocks holds a
+    model (module docstring); a model always comes from the whole-host
+    search, so the refutations only shorten the way to "absent".
     """
-    stream = _model_stream(g, h, roots=roots, deadline=deadline_after(timeout))
-    return _first_model(stream, MinorModel)
+    return _search(g, h, frozenset(), frozenset(), roots, timeout, MinorModel)
 
 
 def find_marked_minor(
@@ -471,16 +617,22 @@ def find_marked_minor(
     roots: dict[int, int] | None = None,
 ) -> MinorResult:
     """Marked variant: marked pattern vertices must capture marked host
-    vertices."""
-    stream = _model_stream(
+    vertices.
+
+    The refutations of find_minor apply with two changes.  The planarity
+    test compares the cones over the marks, since a marked model of h
+    extends to a model of h's cone in g's cone.  A block's local marks
+    are its vertices whose side of the block holds a mark.
+    """
+    return _search(
         g.graph,
         h.graph,
-        g_marked=g.marked,
-        h_marked=h.marked,
-        roots=roots,
-        deadline=deadline_after(timeout),
+        g.marked,
+        h.marked,
+        roots,
+        timeout,
+        lambda bsets, conn: MarkedMinorModel(bsets, conn, g.marked),
     )
-    return _first_model(stream, lambda bsets, conn: MarkedMinorModel(bsets, conn, g.marked))
 
 
 def _pack(

@@ -257,8 +257,13 @@ def double_star_search(
     """Search for K_{2,n} with the n-side marked and the 2-side on {x, y}.
 
     First gate: fewer than n disjoint links between a maximal star at x
-    and a maximal star at y yields a separator certificate.  Otherwise an
-    exhaustive rooted minor search settles it.
+    and a maximal star at y yields a separator certificate.  Otherwise a
+    rooted minor search settles it.  For n >= 2, K_{2,n} is 2-connected,
+    so on a host with several blocks its absence is settled block by
+    block, with x and y moved onto each block.  For n >= 3 its cone
+    K_{3,n} is non-planar, so a planar cone over the marks settles it at
+    once.  Only when neither applies is the whole host searched
+    exhaustively.
     """
     if x == y:
         raise ValueError("double star needs two distinct centers")

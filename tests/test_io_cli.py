@@ -182,6 +182,18 @@ def test_cli_genus_rotation_verifies(tmp_path, capsys):
                  "-n", str(payload["genus"])]) == 0
 
 
+def test_cli_verify_rotation_checks_the_expected_genus(tmp_path, capsys):
+    assert main(["genus", "--json", "--budget", "1", _k5(tmp_path)]) == 0
+    rfile = _write(tmp_path, "rot.json", capsys.readouterr().out)
+    assert main(["verify", "rotation", "--json", "--graph", _k5(tmp_path),
+                 "--witness", rfile, "-n", "0"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "verified": False,
+        "errors": ["rotation traces to genus 1, not the expected genus 0"],
+        "genus": 1,
+    }
+
+
 def test_cli_verify_invalid_rotation_payload(tmp_path, capsys):
     rfile = _write(tmp_path, "rot.json", json.dumps(
         {"rotation": {"0": [1, 1, 2, 3], "1": [0, 2, 3, 4], "2": [0, 1, 3, 4],

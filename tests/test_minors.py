@@ -20,6 +20,7 @@ from oracles import (
 from surfembed.core import (
     Graph,
     MarkedGraph,
+    blocks,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -35,6 +36,7 @@ from surfembed.minors import (
     verify_marked_model,
     verify_model,
 )
+from surfembed.patterns import theta, u_copies, u_pattern
 
 PETERSEN = Graph(
     range(10),
@@ -245,11 +247,7 @@ def test_mask_enumerator_keeps_the_set_enumerator_order(rng):
                     assert list(host.branch_set(c, seed)) == list(want)
 
 
-def test_connected_pattern_stays_in_one_host_component(monkeypatch):
-    # the K5 component holds no K33; once a first branch set lands there,
-    # the other branch sets are not sought in the two K33 components
-    k33 = complete_bipartite(3, 3)
-    host = disjoint_union([complete_graph(5), k33, k33])
+def _count_subset_calls(monkeypatch) -> list[int]:
     calls = [0]
     subsets = minors._connected_subsets
 
@@ -258,6 +256,15 @@ def test_connected_pattern_stays_in_one_host_component(monkeypatch):
         return subsets(*args, **kwargs)
 
     monkeypatch.setattr(minors, "_connected_subsets", counted)
+    return calls
+
+
+def test_connected_pattern_stays_in_one_host_component(monkeypatch):
+    # the K5 component holds no K33; once a first branch set lands there,
+    # the other branch sets are not sought in the two K33 components
+    k33 = complete_bipartite(3, 3)
+    host = disjoint_union([complete_graph(5), k33, k33])
+    calls = _count_subset_calls(monkeypatch)
     res = find_minor(host, k33)
     assert res.found and res.model.support() == set(range(5, 11))
     assert calls[0] <= 20
@@ -300,10 +307,40 @@ def test_pack_skip_keeps_the_best_partial_packing():
     ]
 
 
-def test_icosahedron_has_no_k5_minor():
+def test_icosahedron_has_no_k5_minor(monkeypatch):
+    # settled by planarity; the whole-host search makes 291 372 subset calls
+    calls = _count_subset_calls(monkeypatch)
     ico = nx.icosahedral_graph()
     res = find_minor(Graph(ico.nodes, ico.edges), complete_graph(5), timeout=120)
-    assert res.status == "absent"
+    assert res.status == "absent" and calls[0] == 0
+
+
+def test_planar_host_cone_settles_a_marked_search(monkeypatch):
+    # the cone over six boundary vertices of a 4x4 grid is planar and the
+    # cone over theta1 is K5; the whole-host search makes 182 951 calls
+    calls = _count_subset_calls(monkeypatch)
+    grid = Graph(range(16), [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+                 + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)])
+    res = find_marked_minor(MarkedGraph(grid, frozenset({0, 1, 3, 12, 13, 15})), theta(1))
+    assert res.status == "absent" and calls[0] == 0
+
+
+def test_blocks_settle_the_rooted_theta_searches(monkeypatch):
+    # three K2,3 blocks glued at 1, their 3-sides marked: the host that
+    # classify/sigma7(3) hands to the bouquet stage.  No theta rooted at
+    # 1 by its hub fits in one block; the whole-host searches make
+    # 5 312 + 3 079 + 8 695 + 3 319 subset calls
+    edges, marks = [], set()
+    for b in range(3):
+        other, side = 4 * b + 2, range(4 * b + 3, 4 * b + 6)
+        edges += [(x, y) for x in (1, other) for y in side]
+        marks.update(side)
+    host = MarkedGraph(Graph([], edges), frozenset(marks))
+    calls = _count_subset_calls(monkeypatch)
+    for i in (1, 2, 3, 4):
+        hub = u_copies(i, False, 1)[0]
+        assert find_marked_minor(host, theta(i), roots={hub: 1}).status == "absent"
+    assert calls[0] <= 20
 
 
 # patterns rich in twins: every vertex of K3 and K4, the leaves of K1,3,
@@ -435,3 +472,71 @@ def test_pack_rejects_bad_count():
         pack_disjoint(cycle_graph(3), cycle_graph(3), 0)
     with pytest.raises(ValueError):
         pack_bouquet(cycle_graph(3), cycle_graph(3), hub=0, n=0)
+
+
+def _glued_blocks(rng) -> Graph:
+    """Two to four small random graphs, each glued to the union so far
+    at one or two vertices (or at none, as another component), with the
+    ids shuffled."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(2, 5)
+        shared = rng.sample(range(n), min(n, rng.choice((0, 1, 1, 2, 2))))
+        ids = shared + list(range(n, n + size - len(shared)))
+        n += size - len(shared)
+        local = random_graph(rng, size, 0.75)
+        edges += [(ids[u], ids[v]) for u, v in local.edges if ids[u] != ids[v]]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(perm, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_block_refutation_matches_exhaustive(rng, monkeypatch):
+    # the verdict is the exhaustive whole-host stream's, and a found
+    # model is that stream's first model.  A 2-connected pattern absent
+    # from a host with several blocks is settled before the whole host
+    # is searched: by the projection, no block holds a model.  The last
+    # pattern is not 2-connected, so no block search may answer for it
+    patterns = [theta(i) for i in (1, 2, 3, 4)] + [
+        MarkedGraph(complete_graph(4), frozenset()),
+        MarkedGraph(complete_bipartite(2, 3), frozenset()),
+        MarkedGraph(complete_graph(5), frozenset()),
+        MarkedGraph(complete_graph(3), frozenset({0, 1})),
+        u_pattern(5, False, 2),
+        u_pattern(5, False, 3),
+        # a cut vertex: two triangles at one vertex span two blocks
+        MarkedGraph(Graph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+                    frozenset({1, 3})),
+    ]
+    stream = minors._model_stream
+    whole = [0]
+
+    def counted(*args, **kwargs):
+        whole[0] += kwargs.get("free") is None
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "_model_stream", counted)
+    settled = 0
+    for _ in range(45):
+        g = _glued_blocks(rng)
+        host = MarkedGraph(g, frozenset(v for v in g.vertices if rng.random() < 0.4))
+        several = len(blocks(g).blocks) > 1
+        for h in patterns:
+            pinned = rng.sample(sorted(h.graph.vertices), rng.randint(0, 2))
+            roots = {p: rng.choice(sorted(g.vertices)) for p in pinned} or None
+            first = next(stream(
+                g, h.graph, g_marked=host.marked, h_marked=h.marked, roots=roots
+            ), None)
+            whole[0] = 0
+            if h.marked:
+                res = find_marked_minor(host, h, roots=roots)
+            else:
+                res = find_minor(g, h.graph, roots=roots)
+            assert res.status == ("absent" if first is None else "found")
+            if first is not None:
+                assert (res.model.branch_sets, res.model.connect_edges) == first
+            elif several and h is not patterns[-1]:
+                assert whole[0] == 0, (sorted(g.edges), h, roots)
+                settled += 1
+    assert settled > 150
