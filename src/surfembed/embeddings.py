@@ -15,9 +15,24 @@ reaches it.  At each node the open face also still needs girth minus its
 length in darts, and one or two more when its last dart cannot close it;
 what is left bounds the faces still achievable.  That bound cuts only
 subtrees without an embedding good enough to be recorded, so the answers
-are the ones the plain girth bound gives.  The block rotations are joined
-at the cut vertices and the whole rotation is re-traced before it is
-returned.
+are the ones the plain girth bound gives.
+
+The time such a search takes to its first hit varies by orders of magnitude
+with the order of the darts (K9 at genus 3: 743 627 nodes in the base
+order, a median of 5 196 over neighbour orders seeded 1 to 30), so each
+non-planar block is searched by a small portfolio of the same kernel.  The
+kernel is a generator that yields every 4096 nodes.  The base order runs one
+slice alone, and most searches end there with the base order's rotation.
+Otherwise three orders, each vertex's neighbours shuffled by a fixed seed,
+join it in rounds that give the base order as many slices as the three
+together, and the first kernel to end decides.  Every kernel is exact, so
+the answer is the same whichever ends first; the rotation is that kernel's,
+and the same on every call.  The base order gets half of every round, so no
+search costs more than about twice its base-order nodes; a search that has
+to exhaust its tree under every order, because its genus lies above the
+lower bound or above the budget, costs about that much.  The block rotations
+are joined at the cut vertices and the whole rotation is re-traced before
+it is returned.
 
 Planarity has two modes, and every left-right (LR) run is a call of
 lr.lr_planarity on an edge list.  is_planar() counts edges and degrees first
@@ -32,9 +47,10 @@ blocks with the same embedding-mode run.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Generator, Iterable, Literal, Sequence
 
 from . import lr
 from .core import Edge, Graph, SearchTimeout, blocks, deadline_after, norm_edge
@@ -174,17 +190,26 @@ def _girth(g: Graph) -> int:
     return best
 
 
-def _search_block(
-    g: Graph, girth: int, lower: int, budget: int, deadline: float | None
-) -> tuple[int, dict[int, tuple[int, ...]]] | None:
-    """Minimum genus of a non-planar 2-connected block if it is <= budget,
-    with a rotation attaining it; None if it exceeds the budget.
+_SLICE = 4096  # search nodes between a kernel's yields
+_SEEDS = (1, 2, 3)  # the seeded dart orders of the genus portfolio
+_BlockGenus = tuple[int, dict[int, tuple[int, ...]]]  # genus, block rotation
+
+
+def _block_kernel(
+    g: Graph, girth: int, lower: int, budget: int, rng: random.Random | None = None
+) -> Generator[None, None, _BlockGenus | None]:
+    """The exhaustive search of one non-planar 2-connected block, as a
+    generator that yields after every _SLICE search nodes and returns, via
+    StopIteration, the minimum genus if it is <= budget with the first
+    rotation found attaining it, or None if the genus exceeds the budget.
 
     Depth-first search over incremental face tracings, on an explicit stack.
     Rotations are built as successor pairs over the out-darts at each vertex
     while faces are traced, so each full leaf is exactly one rotation system.
     The search stops at the first embedding of genus `lower`, a certified
-    lower bound.  Raises SearchTimeout on deadline.
+    lower bound.  Given rng, each vertex's neighbour list is shuffled before
+    the darts are numbered; that changes only the order in which the same
+    tree of rotation systems is searched, so the genus, or None, is the same.
 
     Open-face bound.  Every face of a block with minimum degree 2 is a
     closed walk that holds a cycle, so it takes at least girth darts.  After
@@ -214,7 +239,10 @@ def _search_block(
     head: list[int] = []
     lo = [0]
     for i, v in enumerate(verts):
-        for w in g.neighbors(v):
+        ns = list(g.neighbors(v))
+        if rng is not None:
+            rng.shuffle(ns)
+        for w in ns:
             tail.append(i)
             head.append(vidx[w])
         lo.append(len(tail))
@@ -293,8 +321,8 @@ def _search_block(
             mark = y
             c_f0, c_fd = f0, fd
         nodes += 1
-        if deadline is not None and nodes & 4095 == 0 and time.monotonic() > deadline:
-            raise SearchTimeout
+        if nodes % _SLICE == 0:
+            yield
         # darts the open face, now ending with mark, still needs to close
         r = girth - (used_cnt + 1 - c_fd)
         if r < 2:
@@ -333,6 +361,62 @@ def _search_block(
     return (2 - vn + en - best_f) // 2, rot
 
 
+def _search_block(
+    g: Graph, girth: int, lower: int, budget: int, deadline: float | None
+) -> _BlockGenus | None:
+    """Minimum genus of a non-planar 2-connected block if it is <= budget,
+    with a rotation attaining it; None if it exceeds the budget.
+
+    The kernel in its base dart order alone, with the deadline checked
+    after every slice of _SLICE nodes.  min_genus searches by _portfolio,
+    which starts with this order and gives the same genus or None.  Raises
+    SearchTimeout on deadline.
+    """
+    run = _block_kernel(g, girth, lower, budget)
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            return stop.value
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout
+
+
+def _portfolio(
+    g: Graph, girth: int, lower: int, budget: int, deadline: float | None
+) -> _BlockGenus | None:
+    """What _search_block answers, from a portfolio of dart orders.
+
+    A first-hit search's node count varies by orders of magnitude with the
+    dart order, so one unlucky order can cost a hundred times the typical
+    one.  The base order runs one slice alone; a search that ends there
+    returns exactly what _search_block returns, at the same cost.  Else
+    the kernels seeded with _SEEDS join it, and each round gives the base
+    order one slice before each seeded order's slice, as many as they get
+    together.  The deadline is checked after every slice, and the first
+    kernel to end decides.  Each answer is exact: a kernel that reaches the
+    certified lower bound has found an optimal embedding, and one that
+    exhausts its tree has proved its best embedding optimal, or that none
+    fits the budget.  The schedule is fixed, so the same call returns the
+    same rotation, and no search costs more than about twice its nodes in
+    the base order.  Raises SearchTimeout on deadline.
+    """
+    base = _block_kernel(g, girth, lower, budget)
+    schedule = [base]
+    while True:
+        for run in schedule:
+            try:
+                next(run)
+            except StopIteration as stop:
+                return stop.value
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout
+        if len(schedule) == 1:
+            schedule = []
+            for seed in _SEEDS:
+                schedule += (base, _block_kernel(g, girth, lower, budget, random.Random(seed)))
+
+
 def min_genus(
     g: Graph, budget: int, timeout: float | None = None
 ) -> GenusResult:
@@ -342,9 +426,13 @@ def min_genus(
     Each planar block is settled by one LR run, which gives its embedding.
     Each non-planar block gets the certified lower bound max(1, Euler bound
     with faces of at least girth darts), and the exhaustive search runs on
-    it with the budget left after the other blocks' lower bounds.  The
-    block rotations are concatenated at the cut vertices and the whole
-    rotation is re-traced.  The timeout bounds the whole call.
+    it with the budget left after the other blocks' lower bounds, as the
+    portfolio of dart orders in _portfolio.  Every order's search is exact,
+    so status, genus and bounds do not depend on which order ends first;
+    the block rotation is that order's, the same on every call.  The block
+    rotations are concatenated at the cut vertices and the whole rotation
+    is re-traced.  The timeout bounds the whole call; the deadline is
+    checked after every 4096 search nodes.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -370,7 +458,7 @@ def min_genus(
     for bg, girth, lower in hard:
         reserve -= lower
         try:
-            found = _search_block(bg, girth, lower, budget - total - reserve, deadline)
+            found = _portfolio(bg, girth, lower, budget - total - reserve, deadline)
         except SearchTimeout:
             return GenusResult(
                 status="timeout", genus=None, rotation=None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import networkx as nx
@@ -11,6 +12,7 @@ from oracles import planar_by_subdivision, random_graph, search_block_by_lists
 from surfembed import embeddings, lr
 from surfembed.core import (
     Graph,
+    SearchTimeout,
     blocks,
     complete_bipartite,
     complete_graph,
@@ -32,6 +34,7 @@ from surfembed.embeddings import (
     validate_rotation,
     verify_kuratowski,
 )
+from surfembed.patterns import u_pattern
 
 
 def _planar_rotation(g: Graph) -> RotationSystem:
@@ -166,16 +169,23 @@ def test_min_genus_known_values():
             assert min_genus(g, budget=genus - 1).status == "exceeds-budget"
 
 
+def _above_its_bound() -> Graph:
+    """A block on 8 vertices and 23 edges of genus 2, above its certified
+    lower bound 1: every dart order has to exhaust its search tree, which
+    takes about 0.1 s in the base order."""
+    return _hard_blocks(random.Random(15), 264)[263]
+
+
 def test_timed_out_genus_is_not_replayed():
-    g = complete_bipartite(4, 7)  # genus 3
-    timed = genus_additivity(g, 3, timeout=0.01)
+    g = _above_its_bound()  # genus 2
+    timed = genus_additivity(g, 2, timeout=0.01)
     assert timed.status == "timeout" and timed.genus is None
-    assert timed.lower_bound <= 3  # a timeout's lower bound is still sound
-    res = genus_additivity(g, 3)
-    assert res.status == "ok" and res.genus == 3
-    assert genus_of_rotation(g, res.rotation) == 3
-    assert min_genus(g, 3, timeout=0.01).status == "timeout"
-    assert min_genus(g, 3).genus == 3
+    assert timed.lower_bound <= 2  # a timeout's lower bound is still sound
+    res = genus_additivity(g, 2)
+    assert res.status == "ok" and res.genus == 2
+    assert genus_of_rotation(g, res.rotation) == 2
+    assert min_genus(g, 2, timeout=0.01).status == "timeout"
+    assert min_genus(g, 2).genus == 2
 
 
 def _hard_blocks(rng: random.Random, count: int) -> list[Graph]:
@@ -190,22 +200,49 @@ def _hard_blocks(rng: random.Random, count: int) -> list[Graph]:
     return out
 
 
+def _girth_and_lower(g: Graph) -> tuple[int, int]:
+    """A block's girth and its certified genus lower bound, as min_genus
+    computes them."""
+    girth = embeddings._girth(g)
+    return girth, max(1, (3 - g.n + g.m - 2 * g.m // girth) // 2)
+
+
+def _kernel_cases() -> list[tuple[Graph, int, int, int]]:
+    """(block, girth, lower bound, budget) for budgets lower .. lower + 2."""
+    graphs = [complete_graph(n) for n in range(5, 9)]
+    graphs += [complete_bipartite(a, b) for a, b in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5))]
+    graphs += [PETERSEN]
+    # this seed draws blocks of genus 2 above their lower bound 1, whose
+    # searches replace an incumbent or prove that none fits the budget
+    graphs += _hard_blocks(random.Random(15), 24)
+    cases = []
+    for g in graphs:
+        girth, lower = _girth_and_lower(g)
+        cases += [(g, girth, lower, budget) for budget in range(lower, lower + 3)]
+    return cases
+
+
 def test_search_kernel_matches_the_list_kernel():
     # the open-face bound and the scan index change how many nodes the
     # search visits, never which incumbents it records
-    cases = [complete_graph(n) for n in range(5, 9)]
-    cases += [complete_bipartite(a, b) for a, b in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5))]
-    cases += [PETERSEN]
-    # this seed draws blocks of genus 2 above their lower bound 1, whose
-    # searches replace an incumbent or prove that none fits the budget
-    cases += _hard_blocks(random.Random(15), 24)
-    for g in cases:
-        girth = embeddings._girth(g)
-        lower = max(1, (3 - g.n + g.m - 2 * g.m // girth) // 2)
-        for budget in range(lower, lower + 3):
-            got = embeddings._search_block(g, girth, lower, budget, None)
-            want = search_block_by_lists(g, girth, lower, budget)
-            assert got == want, (sorted(g.edges), budget)
+    for g, girth, lower, budget in _kernel_cases():
+        got = embeddings._search_block(g, girth, lower, budget, None)
+        want = search_block_by_lists(g, girth, lower, budget)
+        assert got == want, (sorted(g.edges), budget)
+
+
+def test_portfolio_answers_like_the_base_order():
+    # any kernel of the portfolio may decide, in any dart order, so only
+    # the answer is compared; the rotation must witness it and repeat
+    for g, girth, lower, budget in _kernel_cases():
+        got = embeddings._portfolio(g, girth, lower, budget, None)
+        want = embeddings._search_block(g, girth, lower, budget, None)
+        assert (got is None) == (want is None), (sorted(g.edges), budget)
+        if got is None:
+            continue
+        assert got[0] == want[0], (sorted(g.edges), budget)
+        assert genus_of_rotation(g, RotationSystem.from_dict(got[1])) == got[0]
+        assert embeddings._portfolio(g, girth, lower, budget, None) == got
 
 
 class _CountingClock:
@@ -218,13 +255,73 @@ class _CountingClock:
 
 
 def test_open_face_bound_cuts_the_k9_search(monkeypatch):
-    # the search reads the clock once per 4096 nodes: 750 times for K9
+    # the base order reads the clock once per 4096 nodes: 750 times for K9
     # under the girth bound alone, about 181 times with the open-face bound
     clock = _CountingClock()
     monkeypatch.setattr(embeddings, "time", clock)
-    res = min_genus(complete_graph(9), 3, timeout=1e9)
-    assert res.status == "ok" and res.genus == 3
+    found = embeddings._search_block(complete_graph(9), 3, 3, 3, math.inf)
+    assert found is not None and found[0] == 3
     assert 0 < clock.calls <= 300
+
+
+def _u12_cone() -> Graph:
+    mg = u_pattern(1, False, 2)
+    return cone(mg.graph, mg.marked)[0]  # 8 vertices, 19 edges, genus 1
+
+
+def test_portfolio_ends_first_hit_searches_early(monkeypatch):
+    # the portfolio reads the clock after every slice of 4096 nodes; in the
+    # base order alone K9 takes 181 slices and the u(1, 2) cone 30.  Both
+    # have the genus of their lower bound, so each search stops at a hit.
+    for g, genus in ((complete_graph(9), 3), (_u12_cone(), 1)):
+        clock = _CountingClock()
+        monkeypatch.setattr(embeddings, "time", clock)
+        girth, lower = _girth_and_lower(g)
+        assert lower == genus
+        found = embeddings._portfolio(g, girth, lower, genus, math.inf)
+        assert found is not None and found[0] == genus
+        assert clock.calls < 10  # the last slice ends without a read
+
+
+class _TickingClock:
+    """Each read is one time unit after the one before."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def test_portfolio_times_out_after_the_slice_that_passes_the_deadline(monkeypatch):
+    # refuting genus 1 and finding genus 2 both exhaust every dart order,
+    # so no kernel ends within the 8 slices before the deadline is seen
+    kernel = embeddings._block_kernel
+    slices = [0]
+
+    def counted(*args):
+        run = kernel(*args)
+        while True:
+            try:
+                next(run)
+            except StopIteration as stop:
+                return stop.value
+            slices[0] += 1
+            yield
+
+    monkeypatch.setattr(embeddings, "_block_kernel", counted)
+    g = _above_its_bound()
+    girth, lower = _girth_and_lower(g)
+    for budget in (1, 2):
+        slices[0] = 0
+        clock = _TickingClock()
+        monkeypatch.setattr(embeddings, "time", clock)
+        with pytest.raises(SearchTimeout):
+            embeddings._portfolio(g, girth, lower, budget, 7.5)
+        # one read after every slice: the deadline is seen by the slice that
+        # passes it, well within one round of six
+        assert clock.now == 8.0 and slices[0] == 8
 
 
 def test_genus_of_rotation_over_many_components():
