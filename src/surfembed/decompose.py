@@ -304,15 +304,17 @@ def contraction_planarize(
     Strategy: decompose, join the vertices shared between pieces by a
     minimal forest in g and contract that; when the forest is too large or
     does not work, fall back to exhaustive search over small edge subsets.
-    The timeout bounds only the decompose stage; the exhaustive fallback
-    ignores it.
+    One deadline bounds the whole call: a decompose stage that runs out of
+    it falls through to the fallback, which raises SearchTimeout before
+    the first trial contraction that would start after the deadline.
     """
     if is_planar(g):
         return frozenset()
     if k <= 0:
         return None
+    deadline = deadline_after(timeout)
     try:
-        d = decompose(g, genus_budget, timeout=timeout)
+        d = decompose(g, genus_budget, timeout=time_left(deadline))
         mult: Counter[int] = Counter(v for p in d.pieces for v in p.vertices)
         shared = {v for v, t in mult.items() if t > 1}
         forest = minimal_connecting_forest(g, shared)
@@ -324,6 +326,7 @@ def contraction_planarize(
         pass
     for size in range(1, k + 1):
         for combo in combinations(sorted(g.edges), size):
+            time_left(deadline)
             q, _ = contract(g, combo)
             if is_planar(q):
                 return frozenset(norm_edge(a, b) for a, b in combo)

@@ -15,10 +15,12 @@ a set is its lowest bit.  Candidate branch sets, their neighbourhoods,
 the marks and the free part of the host are masks, and a model's branch
 sets become frozensets only when it is yielded.  A connected pattern is
 sought only inside the host component of its first branch set.  A
-packing recurses on a mask of the vertices still free, and skips every
+packing recurses on a mask of the vertices still free.  It skips every
 model whose support contains the drop of a model whose residue already
-failed, since that leaves a subgraph of the failed residue (int.bit_count
-needs Python 3.10).
+failed, since that leaves a subgraph of the failed residue, and, once its
+best partial packing lacks only one copy, every model whose support leaves
+too few free vertices for the copies still to come (int.bit_count needs
+Python 3.10).
 
 find_minor and find_marked_minor settle two kinds of absence before the
 whole-host search.  Both prune only what yields nothing: a model, a
@@ -399,6 +401,7 @@ def _model_stream(
     host: _Host | None = None,
     free: int | None = None,
     failed: list[int] | None = None,
+    room: list[int] | None = None,
 ):
     """Yield every minor model of h in g, marked constraints included, up
     to swapping the branch sets of twin pattern vertices.
@@ -412,8 +415,15 @@ def _model_stream(
     A packing searches the subgraph on the bits of `free` of an index
     `host` of g, built once, and passes the drops (support minus the hub)
     that already failed it in `failed`: a placement whose partial support
-    contains one of them is skipped.  The search runs on bit masks; the
-    branch sets of a model become frozensets only when it is yielded.
+    contains one of them is skipped.  It may also pass `room`, a
+    one-element list holding the largest support it still wants, and
+    tighten it while the stream runs.  Each branch set is capped so that
+    the support, with one vertex for every branch set still to place,
+    stays within room[0], as read when that branch set's placement
+    starts; the last branch set's cap is exact, so a model whose last
+    placement starts after a tightening has a support within the room.
+    The search runs on bit masks; the branch sets of a model become
+    frozensets only when it is yielded.
     """
     roots = roots or {}
     host = host or _Host(g)
@@ -463,7 +473,10 @@ def _model_stream(
             if connectors is not None:
                 yield bsets, connectors
             return
-        cap = min(avail.bit_count() - (len(order) - idx - 1), edge_budget - spent + 1)
+        later = len(order) - idx - 1
+        cap = min(avail.bit_count() - later, edge_budget - spent + 1)
+        if room:
+            cap = min(cap, room[0] - used.bit_count() - later)
         if cap < 1:
             return
         placed_nbrs, unplaced_deg, need_mark, twin = steps[idx]
@@ -665,6 +678,17 @@ def _pack(
     only when the skipped models could not have reached a longer partial
     packing than the best so far, so complete and incomplete results are
     the ones the unpruned search returns.
+
+    Room.  A backtracking level that needs k more copies gives the stream
+    the room |free| - (k - 1)*(|V(h)| - shared), the largest support that
+    leaves the other k - 1 copies enough free vertices by count, but only
+    once `best` holds n - 1 copies; until then the room is all of free.
+    A model with a larger support leaves a residue that fails the count
+    for k - 1 copies, so its subtree holds no complete packing and at
+    most n - 1 copies, which cannot replace a `best` of n - 1: skipping
+    it changes no result.  Every later support that contains its drop is
+    larger still, so the room skips whatever its drop on the failed list
+    would have skipped, and no pruning is lost.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -687,15 +711,20 @@ def _pack(
         roots = None if z is None else {hub: z}
         keep = 0 if z is None else 1 << host.bit[z]
         failed: list[int] = []
+        # the largest support that leaves the other k - 1 copies room by count
+        tight = free.bit_count() - (k - 1) * (h.n - shared)
+        room = [tight if len(best) >= n - 1 else free.bit_count()] if backtrack else None
         for bsets, connectors in _model_stream(
             g, h, g_marked=g_marked, h_marked=h_marked, roots=roots, deadline=deadline,
-            host=host, free=free, failed=failed,
+            host=host, free=free, failed=failed, room=room,
         ):
             m = MinorModel(bsets, connectors)
             drop = host.mask(m.support()) & ~keep
             rest = recurse(k - 1, free & ~drop, z, acc + [m])
             if rest is not None or not backtrack:
                 return rest
+            if len(best) >= n - 1:
+                room[0] = tight
             # a later model whose drop contains this one leaves a subgraph
             # of this residue, which fails too.  Its subtree holds at most
             # n - 1 copies, or len(acc) + 1 when this residue held no model

@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations.
 
-Nothing here imports the library's search code.  These run the slow,
-obviously-correct route so the fast implementations have something
-honest to disagree with.
+These run the slow, obviously-correct route so the fast implementations
+have something honest to disagree with.  Nothing here imports the
+library's search code except pack_by_stream, which drives the library's
+model stream to check the packer's pruning, not the stream itself.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import functools
 import itertools
 import random
 
+from surfembed import minors
 from surfembed.core import Graph
 
 # pattern edges, per-role degree needs, and interchangeable role groups
@@ -475,3 +477,50 @@ def search_block_by_lists(
             d = best_succ[d]
         rot[verts[v]] = tuple(verts[head[d]] for d in cyc)
     return (2 - vn + en - best_f) // 2, rot
+
+
+def pack_by_stream(g: Graph, h: Graph, n: int, hub: int | None = None) -> minors.PackResult:
+    """The packing recursion with neither of minors._pack's skips, kept as
+    the reference for its results: no failed-drop list and no room.
+
+    Same count test, same rule (backtrack only at a level whose copies fit
+    by count, else take the first model), same best-so-far tracking and
+    hub order, over the same model stream, so every result must equal
+    pack_disjoint's (hub None) or pack_bouquet's.
+    """
+    shared = 0 if hub is None else 1
+    host = minors._Host(g)
+    best: list = []
+    best_hub = None
+
+    def fits(k: int, free: int) -> bool:
+        return k * (h.n - shared) + shared <= free.bit_count() and k * h.m <= host.edge_count(free)
+
+    def recurse(k: int, free: int, z: int | None, acc: list):
+        nonlocal best, best_hub
+        if len(acc) > len(best):
+            best, best_hub = list(acc), z
+        if k == 0:
+            return list(acc)
+        backtrack = fits(k, free)
+        keep = 0 if z is None else 1 << host.bit[z]
+        for bsets, connectors in minors._model_stream(
+            g, h, roots=None if z is None else {hub: z}, host=host, free=free
+        ):
+            m = minors.MinorModel(bsets, connectors)
+            rest = recurse(k - 1, free & ~(host.mask(m.support()) & ~keep), z, acc + [m])
+            if rest is not None or not backtrack:
+                return rest
+        return None
+
+    free = (1 << g.n) - 1
+    hubs: list = [None]
+    if hub is not None:
+        hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+        if not fits(n, free):
+            hubs = hubs[:1]
+    for z in hubs:
+        got = recurse(n, free, z, [])
+        if got is not None:
+            return minors.PackResult(got, complete=True, exhausted=True, hub_vertex=z)
+    return minors.PackResult(best, complete=False, exhausted=True, hub_vertex=best_hub)

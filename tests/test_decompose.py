@@ -164,6 +164,24 @@ def test_contraction_planarize_bridged_k5s():
     assert f is not None and len(f) <= 2
 
 
+def test_contraction_planarize_timeout_bounds_the_fallback():
+    # three K5s joined in a row by paths of 11 edges (m = 52) need three
+    # contractions, so with k = 2 the fallback would try all 1 378 sets of
+    # one or two edges, about 0.3 s, long after the deadline
+    edges = [(5 * i + a, 5 * i + b) for i in range(3) for a in range(5) for b in range(a + 1, 5)]
+    n = 15
+    for i in range(2):
+        path = [5 * i + 4, *range(n, n + 10), 5 * (i + 1)]
+        n += 10
+        edges += list(zip(path, path[1:]))
+    g = Graph(range(n), edges)
+    assert g.m == 52
+    start = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        contraction_planarize(g, 2, timeout=0.01)
+    assert time.monotonic() - start < 0.5
+
+
 def test_contraction_planarize_rejects_hopeless_k():
     assert contraction_planarize(complete_graph(5), 0) is None
 

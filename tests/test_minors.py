@@ -14,6 +14,7 @@ from oracles import (
     connected_subsets_by_sets,
     has_k4_minor,
     has_minor_by_partition,
+    pack_by_stream,
     random_graph,
     seed_plan_by_sets,
 )
@@ -305,6 +306,77 @@ def test_pack_skip_keeps_the_best_partial_packing():
     assert [m.branch_sets for m in res.models] == [
         {0: {0}, 1: {4, 5, 6}}, {0: {1}, 1: {7}}, {0: {2}, 1: {3}},
     ]
+
+
+def _same_packing(got, want):
+    assert (got.complete, got.exhausted, got.hub_vertex) == (
+        want.complete, want.exhausted, want.hub_vertex)
+    assert [(m.branch_sets, m.connect_edges) for m in got.models] == [
+        (m.branch_sets, m.connect_edges) for m in want.models]
+
+
+def test_packing_matches_the_unpruned_recursion(rng):
+    # the failed-drop skip and the room change no result: every flag,
+    # hub vertex, branch set and connector is the plain recursion's
+    patterns = [complete_graph(3), complete_graph(4), cycle_graph(4),
+                complete_bipartite(1, 3), path_graph(3), complete_bipartite(2, 3)]
+    for trial in range(40):
+        g = random_graph(rng, rng.randrange(4, 9), rng.choice((0.3, 0.45, 0.6, 0.75)))
+        for h in patterns:
+            for n in (2, 3):
+                _same_packing(pack_disjoint(g, h, n), pack_by_stream(g, h, n))
+                _same_packing(pack_bouquet(g, h, 0, n), pack_by_stream(g, h, n, hub=0))
+
+
+def test_bouquet_room_leaves_the_hub_to_share():
+    # hub vertex 3 is tried first and yields one copy, so at hub 4 the
+    # room applies from the start.  The second copy shares the hub, so
+    # the first may take 6 - (3 - 1) = 4 vertices; a room of 6 - 3 = 3
+    # would skip {0, 3}, {1}, {4} and return other models
+    g = Graph(range(6), [(0, 3), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+    res = pack_bouquet(g, complete_graph(3), hub=0, n=2)
+    _same_packing(res, pack_by_stream(g, complete_graph(3), 2, hub=0))
+    assert res.complete and res.hub_vertex == 4
+    assert [m.branch_sets for m in res.models] == [
+        {0: {4}, 1: {0, 3}, 2: {1}}, {0: {4}, 1: {2}, 2: {5}},
+    ]
+
+
+def test_room_waits_for_a_best_of_n_minus_one():
+    # every K3 model of the 6-cycle takes all six vertices, more than the
+    # room of 6 - 3 left for a second copy.  Before one copy is held, the
+    # room must not apply, or no copy at all would be returned
+    res = pack_disjoint(cycle_graph(6), complete_graph(3), 2)
+    assert not res.complete and res.exhausted and len(res.models) == 1
+    _same_packing(res, pack_by_stream(cycle_graph(6), complete_graph(3), 2))
+
+
+def _count_subset_yields(monkeypatch) -> list[int]:
+    count = [0]
+    subsets = minors._connected_subsets
+
+    def counted(*args, **kwargs):
+        for item in subsets(*args, **kwargs):
+            count[0] += 1
+            yield item
+
+    monkeypatch.setattr(minors, "_connected_subsets", counted)
+    return count
+
+
+def test_room_cuts_exhausted_packings_on_k33(monkeypatch):
+    # K3,3 holds no two triangle minors, disjoint or through one vertex.
+    # Once one copy is held, a first copy that leaves too few vertices for
+    # the second is not streamed (318 and 1 269 yields without the room)
+    k33, k3 = complete_bipartite(3, 3), complete_graph(3)
+    count = _count_subset_yields(monkeypatch)
+    res = pack_disjoint(k33, k3, 2)
+    assert not res.complete and res.exhausted and len(res.models) == 1
+    assert count[0] <= 150
+    count[0] = 0
+    res = pack_bouquet(k33, k3, 0, 2)
+    assert not res.complete and res.exhausted and len(res.models) == 1
+    assert count[0] <= 600
 
 
 def test_icosahedron_has_no_k5_minor(monkeypatch):
