@@ -35,22 +35,27 @@ are joined at the cut vertices and the whole rotation is re-traced before
 it is returned.
 
 Planarity has two modes, and every left-right (LR) run is a call of
-lr.lr_planarity on an edge list.  is_planar() counts edges and degrees first
-and makes at most one LR run in the test's boolean mode, which stops after the
-testing search; it returns a bool and nothing else.  planarity() gives
-evidence either way: a planar graph gets the rotation system from one LR run
-in embedding mode, re-traced to genus 0, and a non-planar graph is cut down to
-one non-planar block and then by chunked edge deletion (ddmin) to a K5/K33
-subdivision witness, re-verified edge by edge.  min_genus settles its planar
-blocks with the same embedding-mode run.
+lr.lr_planarity on an edge list.  Before any run, _settled decides what it
+can without one: it counts edges and degrees, and it decides every graph with
+at most six vertices of degree >= 3 by topological reduction to at most six
+vertices, where a K5 or a K33 subgraph is the only obstruction.  is_planar()
+makes at most one LR run in the test's boolean mode, which stops after the
+testing search, and only for a graph with seven or more such vertices; it
+returns a bool and nothing else.  planarity() gives evidence either way: a
+planar graph gets the rotation system from one LR run in embedding mode,
+re-traced to genus 0, and a non-planar graph is cut down to one non-planar
+block and then by chunked edge deletion (ddmin) on integer bit masks to a
+K5/K33 subdivision witness, re-verified edge by edge.  min_genus settles its
+planar blocks with the same embedding-mode run.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Generator, Iterable, Literal, Sequence
+from typing import Callable, Generator, Iterable, Literal, Sequence
 
 from . import lr
 from .core import Edge, Graph, SearchTimeout, blocks, deadline_after, norm_edge
@@ -611,36 +616,113 @@ def _decode_kuratowski(edges: list[Edge]) -> KuratowskiWitness | None:
     return KuratowskiWitness(kind=kind, branch_vertices=tuple(order), paths=tuple(tagged))
 
 
-def _counted(m: int, degs: Iterable[int]) -> bool | None:
-    """Planarity of a graph with m edges and the given vertex degrees,
-    settled by counting alone, or None.  A non-planar graph holds a K5
-    subdivision, with 10 edges and 5 vertices of degree >= 4, or a K33
-    subdivision, with 9 edges and 6 vertices of degree >= 3.  A planar
-    graph on n >= 3 vertices of positive degree has at most 3n - 6 edges."""
+def _settled(m: int, deg: list[int], reduced: Callable[[], bool]) -> bool | None:
+    """Planarity of a simple graph with m edges and vertex degrees deg,
+    settled without an LR run, or None.
+
+    Counting first.  A non-planar graph holds a K5 subdivision, with 10
+    edges and 5 vertices of degree >= 4, or a K33 subdivision, with 9
+    edges and 6 vertices of degree >= 3.  A planar graph on n >= 3
+    vertices of positive degree has at most 3n - 6 edges.  A graph that
+    counting leaves open with at most six vertices of degree >= 3 is
+    decided by reduced(), the topological reduction of _reduced_planar
+    on its adjacency; with seven or more it stays open.  That count comes
+    from the same degrees, so a graph with many branch vertices, such as
+    a grid, pays nothing for the rule.
+    """
     if m < 9:
         return True
-    n = three = four = 0
-    for d in degs:
-        n += d > 0
-        three += d >= 3
-        four += d >= 4
-    if three < 6 and four < 5:
+    n = len(deg) - deg.count(0)
+    three = n - deg.count(1) - deg.count(2)
+    if three < 6 and three - deg.count(3) < 5:
         return True
     if m > 3 * n - 6:
         return False
-    return None
+    return reduced() if three <= 6 else None
 
 
-def _counted_graph(g: Graph) -> bool | None:
-    return _counted(g.m, (g.degree(v) for v in g.vertices))
+def _reduced_planar(adj: list[int], deg: list[int]) -> bool:
+    """Planarity of a simple graph with at most six vertices of degree
+    >= 3, by topological reduction on bit masks.  adj[v] is the bit mask
+    of v's neighbours and deg[v] its degree; neither is changed.
+
+    Vertices of degree <= 1 are deleted and vertices of degree 2
+    suppressed, and a suppression that would double an edge drops the
+    copy, which lowers two degrees, until nothing changes.  Deletion,
+    suppression and dropping the copy of an edge all keep planarity, and
+    none raises a degree, so what is left is a simple graph of minimum
+    degree 3 on at most six vertices.  With four or fewer vertices left it
+    is planar; with five it is planar unless it has 10 edges (K5), as the
+    3n - 6 count says; with six it is non-planar exactly when one of the
+    10 splits into 3 + 3 has all 9 cross edges, a K33.
+
+    Why a K33 subgraph is the only obstruction left on six vertices: a
+    K5 subgraph, or a K5 subdivision, on six vertices of minimum degree 3
+    always contains a K33.  The sixth vertex x has three neighbours a, b,
+    c among the five branch vertices; if x subdivides a K5 edge, a and b
+    are its ends.  Put a, b, c on one side, and x with the other two
+    branch vertices d, e on the other.  Every cross edge is then an edge
+    at x or a K5 edge other than ab.
+    """
+    nbr = adj.copy()
+    low = [v for v, d in enumerate(deg) if 0 < d < 3]
+    while low:
+        x = low.pop()
+        mask = nbr[x]
+        if not 0 < mask.bit_count() < 3:
+            continue
+        nbr[x] = 0
+        a, c = mask.bit_length() - 1, (mask & -mask).bit_length() - 1
+        nbr[a] ^= 1 << x
+        low.append(a)
+        if c != a:  # suppress x; an edge already there absorbs the new one
+            nbr[c] ^= 1 << x
+            nbr[a] |= 1 << c
+            nbr[c] |= 1 << a
+            low.append(c)
+    left = [v for v, mask in enumerate(nbr) if mask]
+    if len(left) == 5:
+        return sum(nbr[v].bit_count() for v in left) < 20
+    if len(left) == 6:
+        everyone = sum(1 << v for v in left)
+        first = left[0]
+        for a, b in itertools.combinations(left[1:], 2):
+            across = everyone ^ 1 << first ^ 1 << a ^ 1 << b
+            if nbr[first] & nbr[a] & nbr[b] & across == across:
+                return False
+    return True
+
+
+def _masks(pos: dict[int, int], edges: Iterable[Edge]) -> list[int]:
+    """Neighbour bit masks of the graph formed by edges, whose vertices pos
+    numbers 0..k-1."""
+    adj = [0] * len(pos)
+    for u, v in edges:
+        i, j = pos[u], pos[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _settled_graph(g: Graph) -> bool | None:
+    """_settled on g; the reduction relabels g only if it runs."""
+    deg = list(map(g.degree, g.vertices))
+
+    def reduced() -> bool:
+        return _reduced_planar(_masks(dict(zip(g.vertices, range(g.n))), g.edges), deg)
+
+    return _settled(g.m, deg, reduced)
 
 
 def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
     """A genus-0 rotation of g from at most one LR run, or None if g is not
-    planar.  Paths and cycles need no run, nor do graphs denser than 3n - 6."""
+    planar.  Paths and cycles need no run, and neither does a graph that
+    _settled finds non-planar: one denser than 3n - 6, or one with at most
+    six vertices of degree >= 3 that reduces to a K5 or K33.  A planar
+    verdict still takes the run, for the rotation."""
     if all(g.degree(v) <= 2 for v in g.vertices):  # rotations are forced
         return {v: g.neighbors(v) for v in g.vertices}
-    if _counted_graph(g) is False:
+    if _settled_graph(g) is False:
         return None
     rot = lr.lr_planarity(g.edges, embed=True)
     if rot is None:
@@ -649,56 +731,68 @@ def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
 
 
 def is_planar(g: Graph) -> bool:
-    """Boolean planarity: counting, then at most one LR run.  No rotation
+    """Boolean planarity: _settled, then at most one LR run, which only a
+    graph with seven or more vertices of degree >= 3 can need.  No rotation
     and no witness is built, so nothing is certified; callers that need
     evidence use planarity()."""
-    known = _counted_graph(g)
+    known = _settled_graph(g)
     if known is not None:
         return known
     return lr.lr_planarity(g.edges) is not None
 
 
-def _core(edges: list[Edge]) -> tuple[list[Edge], bool | None]:
-    """Peel pendant edges until none is left, keeping the order of the rest,
-    and settle the rest by counting if possible.  An edge at a vertex of
-    degree 1 lies in no Kuratowski subgraph."""
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    leaves = [v for v, ns in adj.items() if len(ns) == 1]
-    peeled: set[int] = set()
-    while leaves:
-        v = leaves.pop()
-        if len(adj[v]) != 1:  # its last edge went with its neighbour
-            continue
-        peeled.add(v)
-        (w,) = adj[v]
-        adj[v].clear()
-        adj[w].discard(v)
-        if len(adj[w]) == 1:
-            leaves.append(w)
-    if peeled:
-        edges = [e for e in edges if e[0] not in peeled and e[1] not in peeled]
-    return edges, _counted(len(edges), (len(ns) for ns in adj.values()))
+def _peeled(
+    edges: list[Edge], adj: list[int]
+) -> tuple[list[Edge], bool | None, list[int]]:
+    """Peel pendant edges off edges, a graph on 0..k-1 with neighbour
+    masks adj, until none is left; adj is peeled in place.  Returns the
+    rest in its order, its planarity as _settled gives it or None, and its
+    degrees.  An edge at a vertex of degree 1 lies in no Kuratowski
+    subgraph."""
+    deg = list(map(int.bit_count, adj))
+    if 1 in deg:
+        leaves = [v for v, d in enumerate(deg) if d == 1]
+        while leaves:
+            v = leaves.pop()
+            if deg[v] != 1:  # its last edge went with its neighbour
+                continue
+            w = adj[v].bit_length() - 1
+            adj[v] = deg[v] = 0
+            adj[w] ^= 1 << v
+            deg[w] -= 1
+            if deg[w] == 1:
+                leaves.append(w)
+        edges = [e for e in edges if adj[e[0]] and adj[e[1]]]
+    return edges, _settled(len(edges), deg, lambda: _reduced_planar(adj, deg)), deg
 
 
-def _nonplanar_block(g: Graph) -> list[Edge]:
-    """The edges of one non-planar block of non-planar g.  Planarity is
-    additive over blocks, so there is one.  Blocks that counting cannot
-    settle are run smallest first; the last one left needs no run."""
+def _nonplanar_block(g: Graph) -> tuple[list[int], list[Edge], list[int]]:
+    """One non-planar block of non-planar g: its vertices in increasing
+    order, its edges in sorted order with each vertex replaced by its
+    position in that list, and their neighbour masks.  Planarity is
+    additive over blocks, so there is one.  A block denser than 3n - 6 is
+    taken at once.  Otherwise the blocks that _settled does not find
+    planar are taken smallest first; each is settled by _settled where it
+    can be and by an LR run where it cannot, and the last one left needs
+    neither.  Blocks that the reduction finds non-planar keep their place
+    in that order, so the block is the one that counting and LR runs alone
+    would give."""
     open_blocks = []
     for be in blocks(g).blocks:
-        es, known = _core(sorted(be))
-        if known is False:
-            return es
-        if known is None:
-            open_blocks.append(es)
-    open_blocks.sort(key=len)
-    for es in open_blocks[:-1]:
-        if lr.lr_planarity(es) is None:
-            return es
-    return open_blocks[-1]
+        labels = sorted({v for e in be for v in e})
+        pos = dict(zip(labels, range(len(labels))))
+        es = [(pos[u], pos[v]) for u, v in sorted(be)]
+        adj = _masks(pos, be)
+        es, known, deg = _peeled(es, adj)
+        if known is False and len(es) > 3 * (len(deg) - deg.count(0)) - 6:
+            return labels, es, adj
+        if known is not True:
+            open_blocks.append((len(es), known, labels, es, adj))
+    open_blocks.sort(key=lambda b: b[0])
+    for _, known, labels, es, adj in open_blocks[:-1]:
+        if known is False or known is None and lr.lr_planarity(es) is None:
+            return labels, es, adj
+    return open_blocks[-1][2:]
 
 
 def _as_witness(g: Graph, edges: list[Edge]) -> KuratowskiWitness | None:
@@ -708,19 +802,14 @@ def _as_witness(g: Graph, edges: list[Edge]) -> KuratowskiWitness | None:
     return w if w is not None and not verify_kuratowski(g, w) else None
 
 
-def _chain(edges: list[Edge], e: Edge) -> list[Edge]:
-    """The edges of the maximal path through degree-2 vertices of edges
-    that contains e."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+def _chain(adj: list[int], e: Edge) -> list[Edge]:
+    """The edges of the maximal path through degree-2 vertices that
+    contains e, in the graph with neighbour masks adj."""
     out = [e]
     for prev, x in (e, e[::-1]):
-        while len(adj[x]) == 2:
-            a, b = adj[x]
-            prev, x = x, b if a == prev else a
-            f = norm_edge(prev, x)
+        while adj[x].bit_count() == 2:
+            prev, x = x, (adj[x] ^ 1 << prev).bit_length() - 1
+            f = (prev, x) if prev < x else (x, prev)
             if f == e:  # the path closed into a cycle
                 break
             out.append(f)
@@ -730,42 +819,61 @@ def _chain(edges: list[Edge], e: Edge) -> list[Edge]:
 def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
     """A K5/K33 subdivision in non-planar g, verified by verify_kuratowski.
 
-    Chunked deletion (ddmin) on one non-planar block: chunks of edges that
-    halve in size are deleted while the rest stays non-planar, pendant
-    edges are peeled after each deletion, and counting settles what it can
-    before an LR run.  An edge whose deletion leaves a planar graph is
-    needed in every non-planar subgraph of the current one, so after the
-    pass with single edges the rest is a minimal non-planar subgraph: a
-    Kuratowski subdivision.  Deleting any edge of a path through degree-2
-    vertices peels the whole path, so once one of its edges is needed the
+    Chunked deletion (ddmin) on one non-planar block, relabelled once to
+    0..k-1: chunks of edges that halve in size are deleted while the rest
+    stays non-planar.  Each trial takes the neighbour masks of the current
+    edges, clears the chunk's edges, peels pendant edges and asks _settled
+    before an LR run.  _settled decides every trial with at most six
+    vertices of degree >= 3, and each verdict is exact, so the deletions,
+    and the witness, are those that an LR run on every trial would give.
+    An edge whose deletion leaves a planar graph is needed in every
+    non-planar subgraph of the current one, so after the pass with single
+    edges the rest is a minimal non-planar subgraph: a Kuratowski
+    subdivision.  Deleting any edge of a path through degree-2 vertices
+    peels the whole path, so once one of its edges is needed the
     single-edge pass skips the rest.  The search stops as soon as the rest
-    has the degrees of one and decodes to a witness that verifies.
+    has the degrees of one (five of degree 4, or six of degree 3, and the
+    rest 2) and, mapped back to the labels of g, decodes to a witness that
+    verifies.
     """
-    cur = _nonplanar_block(g)
+    labels, cur, cur_adj = _nonplanar_block(g)
+    k = len(labels)
+
+    def witness(edges: list[Edge], deg: list[int]) -> KuratowskiWitness | None:
+        rest = deg.count(2) + deg.count(0)
+        if deg.count(4) == 5 and rest == k - 5 or deg.count(3) == 6 and rest == k - 6:
+            return _as_witness(g, [(labels[u], labels[v]) for u, v in edges])
+        return None
+
+    # cur is tried here and after each deletion, the only times it changes
+    w = witness(cur, list(map(int.bit_count, cur_adj)))
+    if w is not None:
+        return w
     size = len(cur)
     needed: set[Edge] = set()  # filled in the single-edge pass only
     while size > 1:
         size //= 2
-        w = _as_witness(g, cur)
-        if w is not None:
-            return w
         i = 0  # cur[:i] has been tried in this pass and is kept
         while i < len(cur):
             if cur[i] in needed:
                 i += 1
                 continue
-            trial, known = _core(cur[:i] + cur[i + size:])
+            adj = cur_adj.copy()
+            for u, v in cur[i:i + size]:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            trial, known, deg = _peeled(cur[:i] + cur[i + size:], adj)
             if known is None:
                 known = lr.lr_planarity(trial) is not None
             if known:
                 if size == 1:
-                    needed.update(_chain(cur, cur[i]))
+                    needed.update(_chain(cur_adj, cur[i]))
                 i += size
                 continue
             alive = set(trial)
             i = sum(e in alive for e in cur[:i])
-            cur = trial
-            w = _as_witness(g, cur)
+            cur, cur_adj = trial, adj
+            w = witness(cur, deg)
             if w is not None:
                 return w
     raise AssertionError("minimal non-planar subgraph is not a Kuratowski subdivision")

@@ -8,7 +8,12 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import planar_by_subdivision, random_graph, search_block_by_lists
+from oracles import (
+    kuratowski_by_ddmin,
+    planar_by_subdivision,
+    random_graph,
+    search_block_by_lists,
+)
 from surfembed import embeddings, lr
 from surfembed.core import (
     Graph,
@@ -451,6 +456,97 @@ def test_is_planar_makes_at_most_one_lr_run(lr_runs):
         lr_runs[0] = 0
         assert is_planar(g) is want
         assert lr_runs[0] <= 1
+
+
+def _branch_count(g: Graph) -> int:
+    return sum(g.degree(v) >= 3 for v in g.vertices)
+
+
+def _nx_planar(g: Graph) -> bool:
+    ng = nx.Graph(list(g.edges))
+    ng.add_nodes_from(g.vertices)
+    return nx.is_planar(ng)
+
+
+def test_settle_matches_networkx(graphs_le7):
+    # every graph of the atlas, and 3 000 seeded G(n, p) graphs on 3 to 11
+    # vertices with labels spread over 0..999: every verdict the settle
+    # gives must be networkx's, and it must give one whenever at most six
+    # vertices have degree >= 3
+    rng = random.Random(18018)
+    corpus = list(graphs_le7)
+    for _ in range(3000):
+        n = rng.randint(3, 11)
+        p = rng.uniform(0.2, 0.9)
+        labels = rng.sample(range(1000), n)
+        corpus.append(Graph(labels, [(labels[i], labels[j]) for i in range(n)
+                                     for j in range(i + 1, n) if rng.random() < p]))
+    decided = 0
+    for g in corpus:
+        known = embeddings._settled_graph(g)
+        if _branch_count(g) <= 6:
+            assert known is not None, sorted(g.edges)
+        if known is not None:
+            decided += 1
+            assert known == _nx_planar(g), sorted(g.edges)
+    assert decided >= 2500
+
+
+def test_small_nonplanar_graphs_need_no_lr_run(graphs_le7, lr_runs):
+    # the 133 non-planar atlas graphs with at most six vertices of degree
+    # >= 3: every block choice and ddmin trial is settled by the reduction
+    # (counting alone left 415 LR runs here)
+    small = [g for g in graphs_le7 if _branch_count(g) <= 6]
+    nonplanar = [g for g in small if not _nx_planar(g)]
+    assert (len(small), len(nonplanar)) == (1102, 133)
+    for g in nonplanar:
+        res = planarity(g)
+        assert not res.planar and verify_kuratowski(g, res.witness) == []
+    assert lr_runs[0] == 0
+
+
+def test_is_planar_on_small_graphs_needs_no_lr_run(graphs_le7, lr_runs):
+    # the 1 102 atlas graphs with at most six vertices of degree >= 3
+    # (counting alone left 254 LR runs here)
+    small = [g for g in graphs_le7 if _branch_count(g) <= 6]
+    assert len(small) == 1102
+    for g in small:
+        assert is_planar(g) == _nx_planar(g)
+    assert lr_runs[0] == 0
+
+
+def test_atlas_witnesses_cost_few_lr_runs(graphs_le7, lr_runs):
+    # all 237 non-planar atlas graphs: 920 LR runs with counting alone,
+    # 165 with the reduction
+    nonplanar = [g for g in graphs_le7 if not _nx_planar(g)]
+    assert len(nonplanar) == 237
+    for g in nonplanar:
+        assert not planarity(g).planar
+    assert lr_runs[0] <= 250
+
+
+def test_full_cone_planarity_costs_few_lr_runs(graphs_le7, lr_runs):
+    # the 996 full cones of test_full_cone_witnesses_verify: 4 702 LR runs
+    # with counting alone, 1 493 with the reduction
+    cones = [cone(g, g.vertices)[0] for g in graphs_le7 if len(g.components()) == 1]
+    assert len(cones) == 996
+    for cg in cones:
+        planarity(cg)
+    assert lr_runs[0] <= 2000
+
+
+def test_witnesses_match_the_reference_ddmin(graphs_le7):
+    # every trial verdict is exact, so settling trials without an LR run
+    # must leave each witness as the plain ddmin finds it
+    hosts = list(graphs_le7)
+    hosts += [cone(g, g.vertices)[0] for g in graphs_le7 if len(g.components()) == 1]
+    compared = 0
+    for g in hosts:
+        res = planarity(g)
+        if not res.planar:
+            assert res.witness == kuratowski_by_ddmin(g), sorted(g.edges)
+            compared += 1
+    assert compared == 237 + 756
 
 
 def test_planarity_modes_agree_on_small_graphs(graphs_le7):
