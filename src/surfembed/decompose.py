@@ -99,11 +99,16 @@ def verify_decomposition(
 
 def genus_bound(d: Decomposition, budget: int = 6) -> int:
     """Upper bound for the host genus: per-piece genus plus one handle per
-    identification; a vertex in t pieces costs t - 1 identifications."""
+    identification; a vertex in t pieces costs t - 1 identifications.
+    A piece that is_planar accepts counts 0 without a genus search, so
+    only a non-planar piece, which no verified decomposition holds, is
+    searched within the budget."""
     total = 0
     mult: Counter[int] = Counter()
     for p in d.pieces:
         mult.update(p.vertices)
+        if is_planar(p):
+            continue
         r = min_genus(p, budget)
         if r.status != "ok":
             raise BudgetExceeded(f"piece genus search {r.status} at budget {budget}")
@@ -221,6 +226,22 @@ def _refined_core(g: Graph, rho: RotationSystem, core: Graph, gamma: int) -> Gra
     return Graph([], sorted(extra))
 
 
+def _critical_core(g: Graph, gamma: int, deadline: float | None) -> Graph:
+    """An edge-minimal subgraph of g of genus gamma, the genus of g: each
+    edge of g, in sorted order, is deleted when the rest keeps the genus.
+
+    Deleting an edge lowers the genus by at most one, so a trial keeps
+    the genus exactly when its genus exceeds gamma - 1; each trial asks
+    that yes/no question, not for its exact genus."""
+    core = g
+    for e in sorted(g.edges):
+        trial = core.remove_edges([e])
+        rr = settled(min_genus(trial, gamma - 1, timeout=time_left(deadline)))
+        if rr.status == "exceeds-budget":
+            core = trial
+    return core
+
+
 def decompose(g: Graph, genus_budget: int, timeout: float | None = None) -> Decomposition:
     """Decompose g into planar pieces plus the single edges of a refined core.
 
@@ -253,13 +274,7 @@ def decompose(g: Graph, genus_budget: int, timeout: float | None = None) -> Deco
         return Decomposition([g], Graph([], []))
     gamma, rho = r.genus, r.rotation
 
-    core = g
-    for e in sorted(g.edges):
-        trial = core.remove_edges([e])
-        rr = settled(min_genus(trial, gamma, timeout=time_left(deadline)))
-        if rr.status == "ok" and rr.genus == gamma:
-            core = trial
-    core = Graph([], sorted(core.edges))
+    core = Graph([], sorted(_critical_core(g, gamma, deadline).edges))
     # rotation faces of a disconnected core cannot express shared regions;
     # joining its components through g costs no genus (trees are free)
     if len(core.components()) > 1:

@@ -12,15 +12,18 @@ the result says so explicitly instead of masquerading as absence.
 The search runs on integer bit masks.  Each search indexes its host once,
 vertex ids in sorted order becoming bit positions, so the smallest id of
 a set is its lowest bit.  Candidate branch sets, their neighbourhoods,
-the marks and the free part of the host are masks, and a model's branch
-sets become frozensets only when it is yielded.  A connected pattern is
+the marks and the free part of the host are masks.  The model stream
+yields each model as the tuple of its branch-set masks, in the order of
+a placement plan built once from the pattern; only a model that is
+returned becomes frozensets and connectors.  A connected pattern is
 sought only inside the host component of its first branch set.  A
-packing recurses on a mask of the vertices still free.  It skips every
-model whose support contains the drop of a model whose residue already
-failed, since that leaves a subgraph of the failed residue, and, once its
-best partial packing lacks only one copy, every model whose support leaves
-too few free vertices for the copies still to come (int.bit_count needs
-Python 3.10).
+packing shares one plan across all its streams, keeps its partial
+packings as mask tuples and recurses on a mask of the vertices still
+free.  It skips every model whose support contains the drop of a model
+whose residue already failed, since that leaves a subgraph of the failed
+residue, and, once its best partial packing lacks only one copy, every
+model whose support leaves too few free vertices for the copies still to
+come (int.bit_count needs Python 3.10).
 
 find_minor and find_marked_minor settle two kinds of absence before the
 whole-host search.  Both prune only what yields nothing: a model, a
@@ -285,8 +288,15 @@ def _connected_subsets(nbr: list[int], allowed: int, seeds, cap: int, ticker):
     Each subset comes out exactly once: frontier vertices are decided
     include-or-ban in a fixed order, so no two branches of the search
     build the same set.  The neighbourhood mask is the union of the
-    members' nbr masks, grown as each vertex joins.
+    members' nbr masks, grown as each vertex joins.  With cap 1 each
+    seed is its own only subset, so the seeds are yielded in order
+    without a frontier.
     """
+    if cap == 1:
+        for seed, _ in seeds:
+            ticker()
+            yield 1 << seed, nbr[seed]
+        return
     for seed, others in seeds:
         usable = allowed & others
         start = nbr[seed] & usable
@@ -373,7 +383,41 @@ def _twin_predecessors(
     return {cls[i]: cls[i - 1] for cls in classes for i in range(1, len(cls))}
 
 
+class _Plan:
+    """How a stream places the vertices of a pattern h.  It depends on h,
+    its marks and which pattern vertices are rooted, not on the host or
+    on the host vertices of the roots, so one plan serves every stream of
+    a packing, at every level and for every hub vertex.
+
+    order: most constrained first, the rooted vertices, then by
+    descending degree.  steps[i], for the vertex order[i]: the positions
+    of its neighbours placed before it, the number placed after it,
+    whether it is marked, and the position of its twin predecessor (or
+    None).  connected: whether h is connected.
+    """
+
+    __slots__ = ("order", "steps", "connected")
+
+    def __init__(self, h: Graph, h_marked: frozenset[int], rooted):
+        order = sorted(h.vertices, key=lambda p: (p not in rooted, -h.degree(p), p))
+        pos = {p: i for i, p in enumerate(order)}
+        twin_before = _twin_predecessors(h, order, h_marked, rooted)
+        self.order = order
+        self.steps = [
+            (
+                [pos[q] for q in h.neighbors(p) if pos[q] < i],
+                sum(1 for q in h.neighbors(p) if pos[q] > i),
+                p in h_marked,
+                pos[twin_before[p]] if p in twin_before else None,
+            )
+            for i, p in enumerate(order)
+        ]
+        self.connected = len(h.components()) == 1
+
+
 def _resolve_connectors(g: Graph, h: Graph, assignment: dict[int, frozenset[int]]):
+    """The smallest host edge between the branch sets of each pattern
+    edge, or None when some pattern edge has none."""
     connectors: dict[Edge, Edge] = {}
     for pe in sorted(h.edges):
         u, v = pe
@@ -390,21 +434,40 @@ def _resolve_connectors(g: Graph, h: Graph, assignment: dict[int, frozenset[int]
     return connectors
 
 
+def _model(g: Graph, h: Graph, host: _Host, plan: _Plan, roots: dict[int, int], masks):
+    """The branch sets and connectors of a model that a stream yielded as
+    masks in plan order.  A branch set is grown from its root's bit, or
+    else its lowest bit, as the subset enumerator grew it.  The stream
+    checks each pattern edge's adjacency when it places the later of its
+    two branch sets, so every pattern edge has a connector."""
+    bit = host.bit
+    bsets = {
+        p: host.branch_set(m, bit[roots[p]] if p in roots else (m & -m).bit_length() - 1)
+        for p, m in zip(plan.order, masks)
+    }
+    connectors = _resolve_connectors(g, h, bsets)
+    assert connectors is not None, "a streamed model misses a pattern edge"
+    return bsets, connectors
+
+
 def _model_stream(
     g: Graph,
     h: Graph,
     *,
+    plan: _Plan,
+    host: _Host,
     g_marked: frozenset[int] = frozenset(),
-    h_marked: frozenset[int] = frozenset(),
     roots: dict[int, int] | None = None,
     deadline: float | None = None,
-    host: _Host | None = None,
     free: int | None = None,
-    failed: list[int] | None = None,
+    failed=(),
     room: list[int] | None = None,
+    free_edges: int | None = None,
 ):
     """Yield every minor model of h in g, marked constraints included, up
-    to swapping the branch sets of twin pattern vertices.
+    to swapping the branch sets of twin pattern vertices, as the tuple of
+    its branch-set masks in plan order; _model turns one into branch sets
+    and connectors.
 
     roots pins a pattern vertex's branch set to contain a given host
     vertex.  A twin swap keeps the support, the marks and the roots, so
@@ -412,23 +475,24 @@ def _model_stream(
     pattern has a connected support, so once the first branch set is
     placed the rest are sought only in its host component.
 
-    A packing searches the subgraph on the bits of `free` of an index
-    `host` of g, built once, and passes the drops (support minus the hub)
-    that already failed it in `failed`: a placement whose partial support
-    contains one of them is skipped.  It may also pass `room`, a
-    one-element list holding the largest support it still wants, and
-    tighten it while the stream runs.  Each branch set is capped so that
-    the support, with one vertex for every branch set still to place,
-    stays within room[0], as read when that branch set's placement
-    starts; the last branch set's cap is exact, so a model whose last
-    placement starts after a tightening has a support within the room.
-    The search runs on bit masks; the branch sets of a model become
-    frozensets only when it is yielded.
+    `plan` is the _Plan of h, built with h's marks and the pattern
+    vertices that `roots` pins, and `host` the _Host index of g, so that
+    a caller opening many streams builds each once.  A packing searches
+    the subgraph on the bits of `free`, whose edge count it may pass as
+    `free_edges`.  It passes the drops (support
+    minus the hub) that already failed it in `failed`: a placement whose
+    partial support contains one of them is skipped.  It may also pass
+    `room`, a one-element list holding the largest support it still
+    wants, and tighten it while the stream runs.  Each branch set is
+    capped so that the support, with one vertex for every branch set
+    still to place, stays within room[0], as read when that branch set's
+    placement starts; the last branch set's cap is exact, so a model
+    whose last placement starts after a tightening has a support within
+    the room.
     """
     roots = roots or {}
-    host = host or _Host(g)
     free = (1 << len(host.ids)) - 1 if free is None else free
-    m_free = host.edge_count(free)
+    m_free = host.edge_count(free) if free_edges is None else free_edges
     if h.m > m_free or h.n > free.bit_count():
         return
     if any(roots[p] not in host.bit for p in h.vertices if p in roots):
@@ -441,39 +505,21 @@ def _model_stream(
             if time.monotonic() > deadline:
                 raise SearchTimeout
 
-    # most constrained first: pinned vertices, then by descending degree
-    order = sorted(
-        h.vertices, key=lambda p: (p not in roots, -h.degree(p), p)
-    )
-    pos = {p: i for i, p in enumerate(order)}
-    twin_before = _twin_predecessors(h, order, h_marked, roots)
+    order, steps = plan.order, plan.steps
+    last = len(order) - 1
     root_bits = [host.bit[roots[p]] if p in roots else None for p in order]
-    steps = [
-        (
-            [pos[q] for q in h.neighbors(p) if pos[q] < i],
-            sum(1 for q in h.neighbors(p) if pos[q] > i),
-            p in h_marked,
-            pos[twin_before[p]] if p in twin_before else None,
-        )
-        for i, p in enumerate(order)
-    ]
     nbr = host.nbr
     marked = host.mask(v for v in g_marked if v in host.bit)
-    comps = host.components(free) if len(h.components()) == 1 else None
+    comps = host.components(free) if plan.connected else None
     edge_budget = m_free - h.m
     placed = [0] * len(order)
 
     def place(idx: int, avail: int, used: int, spent: int):
         ticker()
         if idx == len(order):
-            bsets = {}
-            for p, m, root in zip(order, placed, root_bits):
-                bsets[p] = host.branch_set(m, (m & -m).bit_length() - 1 if root is None else root)
-            connectors = _resolve_connectors(g, h, bsets)
-            if connectors is not None:
-                yield bsets, connectors
+            yield tuple(placed)
             return
-        later = len(order) - idx - 1
+        later = last - idx
         cap = min(avail.bit_count() - later, edge_budget - spent + 1)
         if room:
             cap = min(cap, room[0] - used.bit_count() - later)
@@ -493,13 +539,15 @@ def _model_stream(
                 if unplaced_deg and (near & avail & ~cand).bit_count() < unplaced_deg:
                     continue
                 support = used | cand
-                if failed and any(not drop & ~support for drop in failed):
-                    continue
-                rest = avail & ~cand
-                if comps is not None and idx == 0:
-                    rest &= next(c for c in comps if c & cand)
-                placed[idx] = cand
-                yield from place(idx + 1, rest, support, spent + cand.bit_count() - 1)
+                for drop in failed:
+                    if not drop & ~support:
+                        break
+                else:
+                    placed[idx] = cand
+                    rest = avail & ~cand
+                    if comps is not None and idx == 0:
+                        rest &= next(c for c in comps if c & cand)
+                    yield from place(idx + 1, rest, support, spent + cand.bit_count() - 1)
 
     yield from place(0, free, 0, 0)
 
@@ -526,10 +574,10 @@ def _planarity_refutes(
 
 def _blocks_refute(
     host: _Host,
+    plan: _Plan,
     g: Graph,
     h: Graph,
     g_marked: frozenset[int],
-    h_marked: frozenset[int],
     roots: dict[int, int],
     deadline: float | None,
 ) -> bool:
@@ -537,7 +585,8 @@ def _blocks_refute(
     block holds a model of h under the projection of the module
     docstring.  Each block is searched on its vertex mask of the whole
     host index: every edge of g between two vertices of a block lies in
-    that block, so the subgraph on the mask is the block."""
+    that block, so the subgraph on the mask is the block.  A block's
+    stream needs only to yield a model or not, so none is built."""
     if h.n < 3 or len(h.components()) != 1 or blocks(h).cut_vertices:
         return False
     bs = blocks(g).blocks
@@ -568,9 +617,8 @@ def _blocks_refute(
         for _ in _model_stream(
             g, h,
             g_marked=frozenset(host.ids[i] for i in _bits(local_marks)),
-            h_marked=h_marked,
             roots={p: host.ids[r] for p, r in moved.items()},
-            deadline=deadline, host=host, free=inside,
+            deadline=deadline, host=host, free=inside, plan=plan,
         ):
             return False
     return True
@@ -587,19 +635,21 @@ def _search(
 ) -> MinorResult:
     """The first model of the whole-host _model_stream, wrapped, as a
     MinorResult.  "absent" comes early when planarity or the blocks
-    refute h.  One deadline bounds the block searches and the stream."""
+    refute h.  One deadline bounds the block searches and the stream,
+    and one plan serves them all."""
     deadline = deadline_after(timeout)
     host = _Host(g)
+    roots = roots or {}
     try:
-        if _planarity_refutes(g, h, g_marked, h_marked) or _blocks_refute(
-            host, g, h, g_marked, h_marked, roots or {}, deadline
-        ):
+        if _planarity_refutes(g, h, g_marked, h_marked):
             return MinorResult("absent")
-        for bsets, connectors in _model_stream(
-            g, h, g_marked=g_marked, h_marked=h_marked, roots=roots,
-            deadline=deadline, host=host,
+        plan = _Plan(h, h_marked, roots)
+        if _blocks_refute(host, plan, g, h, g_marked, roots, deadline):
+            return MinorResult("absent")
+        for masks in _model_stream(
+            g, h, g_marked=g_marked, roots=roots, deadline=deadline, host=host, plan=plan,
         ):
-            return MinorResult("found", wrap(bsets, connectors))
+            return MinorResult("found", wrap(*_model(g, h, host, plan, roots, masks)))
     except SearchTimeout:
         return MinorResult("timeout")
     return MinorResult("absent")
@@ -689,38 +739,47 @@ def _pack(
     it changes no result.  Every later support that contains its drop is
     larger still, so the room skips whatever its drop on the failed list
     would have skipped, and no pruning is lost.
+
+    One plan serves every stream, at every level and for every hub
+    vertex, and each level counts the edges of its free mask once, for
+    its own count and its stream's.  Partial packings hold the streamed
+    mask tuples; only the packing returned is built into models.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     deadline = deadline_after(timeout)
     shared = 0 if hub is None else 1
     host = _Host(g)
-    best: list[MinorModel] = []
+    plan = _Plan(h, h_marked, () if hub is None else (hub,))
+    best: list[tuple[int, ...]] = []
     best_hub: int | None = None
 
-    def fits(k: int, free: int) -> bool:
-        return k * (h.n - shared) + shared <= free.bit_count() and k * h.m <= host.edge_count(free)
+    def fits(k: int, size: int, edges: int) -> bool:
+        return k * (h.n - shared) + shared <= size and k * h.m <= edges
 
-    def recurse(k: int, free: int, z: int | None, acc: list[MinorModel]):
+    def recurse(k: int, free: int, z: int | None, acc: list[tuple[int, ...]]):
         nonlocal best, best_hub
         if len(acc) > len(best):
             best, best_hub = list(acc), z
         if k == 0:
             return list(acc)
-        backtrack = fits(k, free)
+        size, edges = free.bit_count(), host.edge_count(free)
+        backtrack = fits(k, size, edges)
         roots = None if z is None else {hub: z}
         keep = 0 if z is None else 1 << host.bit[z]
         failed: list[int] = []
         # the largest support that leaves the other k - 1 copies room by count
-        tight = free.bit_count() - (k - 1) * (h.n - shared)
-        room = [tight if len(best) >= n - 1 else free.bit_count()] if backtrack else None
-        for bsets, connectors in _model_stream(
-            g, h, g_marked=g_marked, h_marked=h_marked, roots=roots, deadline=deadline,
-            host=host, free=free, failed=failed, room=room,
+        tight = size - (k - 1) * (h.n - shared)
+        room = [tight if len(best) >= n - 1 else size] if backtrack else None
+        for masks in _model_stream(
+            g, h, g_marked=g_marked, roots=roots, deadline=deadline, host=host,
+            free=free, failed=failed, room=room, plan=plan, free_edges=edges,
         ):
-            m = MinorModel(bsets, connectors)
-            drop = host.mask(m.support()) & ~keep
-            rest = recurse(k - 1, free & ~drop, z, acc + [m])
+            drop = 0
+            for m in masks:
+                drop |= m
+            drop &= ~keep
+            rest = recurse(k - 1, free & ~drop, z, acc + [masks])
             if rest is not None or not backtrack:
                 return rest
             if len(best) >= n - 1:
@@ -734,20 +793,25 @@ def _pack(
                 failed.append(drop)
         return None
 
+    def result(packing, z: int | None, complete: bool, exhausted: bool) -> PackResult:
+        roots = {} if z is None else {hub: z}
+        models = [MinorModel(*_model(g, h, host, plan, roots, masks)) for masks in packing]
+        return PackResult(models, complete=complete, exhausted=exhausted, hub_vertex=z)
+
     free = (1 << g.n) - 1
     hubs: list[int | None] = [None]
     if hub is not None:
         hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-        if not fits(n, free):
+        if not fits(n, g.n, g.m):
             hubs = hubs[:1]
     try:
         for z in hubs:
             got = recurse(n, free, z, [])
             if got is not None:
-                return PackResult(got, complete=True, exhausted=True, hub_vertex=z)
+                return result(got, z, True, True)
     except SearchTimeout:
-        return PackResult(best, complete=False, exhausted=False, hub_vertex=best_hub)
-    return PackResult(best, complete=False, exhausted=True, hub_vertex=best_hub)
+        return result(best, best_hub, False, False)
+    return result(best, best_hub, False, True)
 
 
 def pack_disjoint(

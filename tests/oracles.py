@@ -2,12 +2,14 @@
 
 These run the slow, obviously-correct route so the fast implementations
 have something honest to disagree with.  Nothing here imports the
-library's search code except two oracles that pin a pruned search to the
-plain one it replaced: pack_by_stream, which drives the library's model
-stream to check the packer's pruning, not the stream itself; and
+library's search code except three oracles that pin a pruned search to
+the plain one it replaced: pack_by_stream, which drives the library's
+model stream to check the packer's pruning, not the stream itself;
 kuratowski_by_ddmin, which runs the plain witness ddmin on the library's
 LR test, block split and witness decoder, to check that settling trials
-without an LR run changes no witness.
+without an LR run changes no witness; and core_by_exact_genus, which
+asks the library's genus search for each trial's exact genus, to check
+that decompose's yes/no trials keep the same core.
 """
 
 from __future__ import annotations
@@ -490,10 +492,12 @@ def pack_by_stream(g: Graph, h: Graph, n: int, hub: int | None = None) -> minors
     Same count test, same rule (backtrack only at a level whose copies fit
     by count, else take the first model), same best-so-far tracking and
     hub order, over the same model stream, so every result must equal
-    pack_disjoint's (hub None) or pack_bouquet's.
+    pack_disjoint's (hub None) or pack_bouquet's.  Each streamed model is
+    built with minors._model as it comes.
     """
     shared = 0 if hub is None else 1
     host = minors._Host(g)
+    plan = minors._Plan(h, frozenset(), () if hub is None else (hub,))
     best: list = []
     best_hub = None
 
@@ -508,10 +512,9 @@ def pack_by_stream(g: Graph, h: Graph, n: int, hub: int | None = None) -> minors
             return list(acc)
         backtrack = fits(k, free)
         keep = 0 if z is None else 1 << host.bit[z]
-        for bsets, connectors in minors._model_stream(
-            g, h, roots=None if z is None else {hub: z}, host=host, free=free
-        ):
-            m = minors.MinorModel(bsets, connectors)
+        roots = {} if z is None else {hub: z}
+        for masks in minors._model_stream(g, h, roots=roots, host=host, free=free, plan=plan):
+            m = minors.MinorModel(*minors._model(g, h, host, plan, roots, masks))
             rest = recurse(k - 1, free & ~(host.mask(m.support()) & ~keep), z, acc + [m])
             if rest is not None or not backtrack:
                 return rest
@@ -528,6 +531,19 @@ def pack_by_stream(g: Graph, h: Graph, n: int, hub: int | None = None) -> minors
         if got is not None:
             return minors.PackResult(got, complete=True, exhausted=True, hub_vertex=z)
     return minors.PackResult(best, complete=False, exhausted=True, hub_vertex=best_hub)
+
+
+def core_by_exact_genus(g: Graph, gamma: int) -> Graph:
+    """The critical-core loop that asks each trial for its exact genus,
+    kept as the reference for decompose's yes/no trials: each edge of g,
+    in sorted order, is deleted when the rest has genus exactly gamma."""
+    core = g
+    for e in sorted(g.edges):
+        trial = core.remove_edges([e])
+        r = embeddings.min_genus(trial, gamma)
+        if r.status == "ok" and r.genus == gamma:
+            core = trial
+    return core
 
 
 def _counted(edges: list) -> bool | None:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import time
 import types
 
+import networkx as nx
 import pytest
 
 import surfembed.decompose as decompose_module
-from oracles import random_graph
+from oracles import core_by_exact_genus, random_graph
 from surfembed.core import (
     Graph,
     SearchTimeout,
@@ -237,3 +238,67 @@ def test_decompose_zero_timeout_starts_no_genus_search(monkeypatch):
     with pytest.raises(SearchTimeout):
         decompose(complete_graph(5), 1, timeout=0.0)
     assert timeouts == []
+
+
+def _decompose_corpus() -> dict[str, tuple[Graph, int]]:
+    """The graphs the certify benchmark decomposes, with their genus."""
+    pg = nx.petersen_graph()
+    return {
+        "K5": (complete_graph(5), 1),
+        "K3,3": (complete_bipartite(3, 3), 1),
+        "sigma5(2)": (sigma(5, 2), 1),
+        "K5+tail": (complete_graph(5).add_edges([(4, 100), (100, 101), (101, 102), (100, 102)]), 1),
+        "K3,3+tail": (complete_bipartite(3, 3).add_edges([(5, 100), (100, 101)]), 1),
+        "K5+C6": (disjoint_union([complete_graph(5), cycle_graph(6)]), 1),
+        "K6": (complete_graph(6), 1),
+        "petersen": (Graph(pg.nodes, pg.edges), 1),
+        "sigma3(2)": (sigma(3, 2), 2),
+    }
+
+
+def test_critical_core_matches_exact_genus_trials(rng):
+    # a trial's yes/no question keeps the core the exact-genus loop keeps
+    cases = list(_decompose_corpus().values())
+    while len(cases) < 9 + 25:
+        g = random_graph(rng, rng.randrange(5, 9), rng.choice((0.5, 0.65, 0.8)))
+        r = min_genus(g, 2)
+        if r.status == "ok" and r.genus > 0:
+            cases.append((g, r.genus))
+    for g, gamma in cases:
+        assert min_genus(g, gamma).genus == gamma
+        core = decompose_module._critical_core(g, gamma, None)
+        assert core.edges == core_by_exact_genus(g, gamma).edges
+
+
+def test_core_trials_ask_for_one_genus_less(monkeypatch):
+    # one genus search at the budget, then one per edge at gamma - 1
+    budgets = []
+
+    def spy(g, budget, timeout=None):
+        budgets.append(budget)
+        return min_genus(g, budget, timeout=timeout)
+
+    monkeypatch.setattr(decompose_module, "min_genus", spy)
+    for g, gamma in _decompose_corpus().values():
+        if len(g.components()) > 1:
+            continue
+        budgets.clear()
+        decompose(g, 3)
+        assert budgets == [3] + [gamma - 1] * g.m
+
+
+def test_genus_bound_searches_no_planar_piece(monkeypatch):
+    # every piece of a verified decomposition is planar, so it counts 0
+    # without a genus search; the bounds are the ones the searches gave
+    want = {"K5": 15, "K3,3": 12, "sigma5(2)": 29, "K5+tail": 16, "K3,3+tail": 13,
+            "K5+C6": 15, "K6": 24, "petersen": 20, "sigma3(2)": 31}
+    decomps = {name: decompose(g, 3) for name, (g, _) in _decompose_corpus().items()}
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return min_genus(*args, **kwargs)
+
+    monkeypatch.setattr(decompose_module, "min_genus", spy)
+    assert {name: genus_bound(d, 3) for name, d in decomps.items()} == want
+    assert calls == []

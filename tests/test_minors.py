@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
+import types
 
 import networkx as nx
 import pytest
@@ -37,7 +39,7 @@ from surfembed.minors import (
     verify_marked_model,
     verify_model,
 )
-from surfembed.patterns import theta, u_copies, u_pattern
+from surfembed.patterns import sigma, theta, u_copies, u_pattern
 
 PETERSEN = Graph(
     range(10),
@@ -210,11 +212,64 @@ def test_pack_bouquet_hub_independent_bound(monkeypatch):
     assert calls[0] <= 2
 
 
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    calls = [0]
+    original = getattr(minors, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(minors, name, counted)
+    return calls
+
+
+def test_pack_builds_one_plan(monkeypatch):
+    # the plan depends on the pattern and its hub, not on the free mask or
+    # the hub vertex, so every stream of every hub vertex shares one
+    calls = _count_calls(monkeypatch, "_twin_predecessors")
+    streams = _count_calls(monkeypatch, "_model_stream")
+    res = pack_bouquet(complete_bipartite(3, 3), complete_graph(3), 0, 2)
+    assert not res.complete and res.exhausted
+    assert streams[0] > 1 and calls[0] == 1
+
+
+def test_pack_builds_only_the_models_it_returns(monkeypatch):
+    # streamed models stay masks; connectors are resolved only for the
+    # models of the result, complete, exhausted or timed out
+    built = _count_calls(monkeypatch, "_resolve_connectors")
+    received = [0]
+    stream = minors._model_stream
+
+    def counted(*args, **kwargs):
+        for model in stream(*args, **kwargs):
+            received[0] += 1
+            yield model
+
+    monkeypatch.setattr(minors, "_model_stream", counted)
+    k33, k3 = complete_bipartite(3, 3), complete_graph(3)
+    # the first triangle 0 1 2 leaves none; 0 3 4 and 1 2 5 are disjoint
+    g = Graph(range(6), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (2, 5)])
+    for pack in (lambda: pack_disjoint(g, k3, 2), lambda: pack_bouquet(k33, k3, 0, 2)):
+        built[0] = received[0] = 0
+        res = pack()
+        assert res.exhausted and len(res.models) >= 1
+        assert received[0] > len(res.models) and built[0] == len(res.models)
+    built[0] = received[0] = 0
+    # the deadline passes at the stream's first clock check
+    monkeypatch.setattr(minors, "time", types.SimpleNamespace(monotonic=lambda: math.inf))
+    res = pack_disjoint(sigma(3, 3), k3, 4, timeout=60)
+    assert not res.complete and not res.exhausted and len(res.models) == 3
+    assert received[0] > len(res.models) and built[0] == len(res.models)
+
+
 def test_model_stream_one_model_per_twin_orbit():
     k5, k33 = complete_graph(5), complete_bipartite(3, 3)
-    assert sum(1 for _ in minors._model_stream(k5, k5)) == 1
+    plan5, plan33 = minors._Plan(k5, frozenset(), {}), minors._Plan(k33, frozenset(), {})
+    host5, host33 = minors._Host(k5), minors._Host(k33)
+    assert sum(1 for _ in minors._model_stream(k5, k5, plan=plan5, host=host5)) == 1
     # the swap of the two sides is not a twin swap
-    assert sum(1 for _ in minors._model_stream(k33, k33)) == 2
+    assert sum(1 for _ in minors._model_stream(k33, k33, plan=plan33, host=host33)) == 2
 
 
 def test_mask_enumerator_keeps_the_set_enumerator_order(rng):
@@ -249,15 +304,7 @@ def test_mask_enumerator_keeps_the_set_enumerator_order(rng):
 
 
 def _count_subset_calls(monkeypatch) -> list[int]:
-    calls = [0]
-    subsets = minors._connected_subsets
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return subsets(*args, **kwargs)
-
-    monkeypatch.setattr(minors, "_connected_subsets", counted)
-    return calls
+    return _count_calls(monkeypatch, "_connected_subsets")
 
 
 def test_connected_pattern_stays_in_one_host_component(monkeypatch):
@@ -597,9 +644,12 @@ def test_block_refutation_matches_exhaustive(rng, monkeypatch):
         for h in patterns:
             pinned = rng.sample(sorted(h.graph.vertices), rng.randint(0, 2))
             roots = {p: rng.choice(sorted(g.vertices)) for p in pinned} or None
+            index, plan = minors._Host(g), minors._Plan(h.graph, h.marked, roots or {})
             first = next(stream(
-                g, h.graph, g_marked=host.marked, h_marked=h.marked, roots=roots
+                g, h.graph, g_marked=host.marked, roots=roots, host=index, plan=plan
             ), None)
+            if first is not None:
+                first = minors._model(g, h.graph, index, plan, roots or {}, first)
             whole[0] = 0
             if h.marked:
                 res = find_marked_minor(host, h, roots=roots)
