@@ -178,6 +178,8 @@ def _girth(g: Graph) -> int:
     search from every vertex, stopping once no shorter cycle can close."""
     best = g.n + 1
     for s in g.vertices:
+        if best == 3:  # no cycle is shorter
+            break
         dist = {s: 0}
         parent = {s: s}
         queue = [s]
@@ -445,7 +447,9 @@ def min_genus(
     rot: dict[int, list[int]] = {v: [] for v in g.vertices}
     hard: list[tuple[Graph, int, int]] = []  # (block, girth, lower bound)
     for be in blocks(g).blocks:
-        bg = g.edge_subgraph(be)
+        # a block holding every edge of g, with no isolated vertex, is g
+        whole = len(be) == g.m and all(g.degree(v) for v in g.vertices)
+        bg = g if whole else g.edge_subgraph(be)
         brot = _planar_rotation(bg)
         if brot is None:
             girth = _girth(bg)

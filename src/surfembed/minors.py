@@ -139,7 +139,10 @@ class PackResult:
 
     complete means the requested count was reached.  exhausted means the
     search space was fully enumerated, so an incomplete result certifies
-    that no packing of the requested size exists.
+    that no packing of the requested size exists.  An incomplete result's
+    models are the largest partial packing the search placed before it
+    stopped, with hub_vertex its shared vertex, and none when the copies
+    do not fit the host by count; a larger partial packing may exist.
     """
 
     models: list[MinorModel]
@@ -461,7 +464,7 @@ def _model_stream(
     deadline: float | None = None,
     free: int | None = None,
     failed=(),
-    room: list[int] | None = None,
+    room: int | None = None,
     free_edges: int | None = None,
 ):
     """Yield every minor model of h in g, marked constraints included, up
@@ -479,16 +482,11 @@ def _model_stream(
     vertices that `roots` pins, and `host` the _Host index of g, so that
     a caller opening many streams builds each once.  A packing searches
     the subgraph on the bits of `free`, whose edge count it may pass as
-    `free_edges`.  It passes the drops (support
-    minus the hub) that already failed it in `failed`: a placement whose
-    partial support contains one of them is skipped.  It may also pass
-    `room`, a one-element list holding the largest support it still
-    wants, and tighten it while the stream runs.  Each branch set is
-    capped so that the support, with one vertex for every branch set
-    still to place, stays within room[0], as read when that branch set's
-    placement starts; the last branch set's cap is exact, so a model
-    whose last placement starts after a tightening has a support within
-    the room.
+    `free_edges`.  It passes the drops (support minus the hub) that
+    already failed it in `failed`: a placement whose partial support
+    contains one of them is skipped.  It also passes `room`, the largest
+    support it wants: each branch set is capped so that the support, with
+    one vertex for every branch set still to place, stays within it.
     """
     roots = roots or {}
     free = (1 << len(host.ids)) - 1 if free is None else free
@@ -521,8 +519,8 @@ def _model_stream(
             return
         later = last - idx
         cap = min(avail.bit_count() - later, edge_budget - spent + 1)
-        if room:
-            cap = min(cap, room[0] - used.bit_count() - later)
+        if room is not None:
+            cap = min(cap, room - used.bit_count() - later)
         if cap < 1:
             return
         placed_nbrs, unplaced_deg, need_mark, twin = steps[idx]
@@ -711,34 +709,29 @@ def _pack(
     (hub None) or pairwise meet in one host vertex z lying in every
     model's hub branch set, tried hub vertex by hub vertex.
 
-    Greedy first: the recursion takes the first model it sees and moves
-    on, falling back to the next candidate only when the remainder fails.
-    An incomplete result with exhausted=True certifies that no packing of
-    n copies exists.  k more copies sharing `shared` vertices (none, or z)
-    and no edge need k*(|V(h)| - shared) + shared host vertices and
-    k*|E(h)| host edges.  Below a level where they do not fit by count,
-    the partial packing is only extended greedily; when they do not fit at
-    the top level, which does not depend on z, only the first hub vertex
-    is tried.
+    The recursion works on a mask of the free host vertices: it takes the
+    first model it sees and moves on, falling back to the next model only
+    when the remainder fails.  An incomplete result with exhausted=True
+    certifies that no packing of n copies exists.  Three prunes cut the
+    search:
 
-    The recursion works on a mask of the free host vertices.  A failure
-    below a backtracking level is certified (exhausted, or refused by the
-    count), so its drop goes on that level's failed list and the stream
-    skips any later model whose support contains it.  A drop is listed
-    only when the skipped models could not have reached a longer partial
-    packing than the best so far, so complete and incomplete results are
-    the ones the unpruned search returns.
+    - Count.  k more copies sharing `shared` vertices (none, or z) and no
+      edge need k*(|V(h)| - shared) + shared host vertices and k*|E(h)|
+      host edges; a level where they do not fit fails at once, and when
+      the n copies do not fit g, which does not depend on z, no hub
+      vertex is tried.
+    - Room.  A level that needs k copies streams only models whose
+      support is at most |free| - (k - 1)*(|V(h)| - shared), since a
+      larger one leaves too few vertices for the other k - 1 copies.
+    - Failed drops.  When a model's residue fails, its drop (support minus
+      z) goes on the level's failed list, and the stream skips any later
+      model whose support contains it: that model leaves a subgraph of
+      the failed residue, which holds no packing either.
 
-    Room.  A backtracking level that needs k more copies gives the stream
-    the room |free| - (k - 1)*(|V(h)| - shared), the largest support that
-    leaves the other k - 1 copies enough free vertices by count, but only
-    once `best` holds n - 1 copies; until then the room is all of free.
-    A model with a larger support leaves a residue that fails the count
-    for k - 1 copies, so its subtree holds no complete packing and at
-    most n - 1 copies, which cannot replace a `best` of n - 1: skipping
-    it changes no result.  Every later support that contains its drop is
-    larger still, so the room skips whatever its drop on the failed list
-    would have skipped, and no pruning is lost.
+    Each prune removes only subtrees that hold no complete packing, and
+    the stream order is unchanged, so a complete result is the first
+    complete packing of the plain recursion, flags, hub vertex and models
+    alike.
 
     One plan serves every stream, at every level and for every hub
     vertex, and each level counts the edges of its free mask once, for
@@ -760,37 +753,28 @@ def _pack(
     def recurse(k: int, free: int, z: int | None, acc: list[tuple[int, ...]]):
         nonlocal best, best_hub
         if len(acc) > len(best):
-            best, best_hub = list(acc), z
+            best, best_hub = acc, z
         if k == 0:
-            return list(acc)
+            return acc
         size, edges = free.bit_count(), host.edge_count(free)
-        backtrack = fits(k, size, edges)
+        if not fits(k, size, edges):
+            return None
         roots = None if z is None else {hub: z}
         keep = 0 if z is None else 1 << host.bit[z]
         failed: list[int] = []
-        # the largest support that leaves the other k - 1 copies room by count
-        tight = size - (k - 1) * (h.n - shared)
-        room = [tight if len(best) >= n - 1 else size] if backtrack else None
         for masks in _model_stream(
             g, h, g_marked=g_marked, roots=roots, deadline=deadline, host=host,
-            free=free, failed=failed, room=room, plan=plan, free_edges=edges,
+            free=free, failed=failed, room=size - (k - 1) * (h.n - shared), plan=plan,
+            free_edges=edges,
         ):
             drop = 0
             for m in masks:
                 drop |= m
             drop &= ~keep
             rest = recurse(k - 1, free & ~drop, z, acc + [masks])
-            if rest is not None or not backtrack:
+            if rest is not None:
                 return rest
-            if len(best) >= n - 1:
-                room[0] = tight
-            # a later model whose drop contains this one leaves a subgraph
-            # of this residue, which fails too.  Its subtree holds at most
-            # n - 1 copies, or len(acc) + 1 when this residue held no model
-            # (then `best` is still len(acc) + 1 long); the drop is listed
-            # only when skipping that subtree cannot change `best`
-            if len(best) <= len(acc) + 1 or len(best) >= n - 1:
-                failed.append(drop)
+            failed.append(drop)
         return None
 
     def result(packing, z: int | None, complete: bool, exhausted: bool) -> PackResult:
@@ -798,15 +782,14 @@ def _pack(
         models = [MinorModel(*_model(g, h, host, plan, roots, masks)) for masks in packing]
         return PackResult(models, complete=complete, exhausted=exhausted, hub_vertex=z)
 
-    free = (1 << g.n) - 1
+    if not fits(n, g.n, g.m):
+        return result([], None, False, True)
     hubs: list[int | None] = [None]
     if hub is not None:
         hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-        if not fits(n, g.n, g.m):
-            hubs = hubs[:1]
     try:
         for z in hubs:
-            got = recurse(n, free, z, [])
+            got = recurse(n, (1 << g.n) - 1, z, [])
             if got is not None:
                 return result(got, z, True, True)
     except SearchTimeout:

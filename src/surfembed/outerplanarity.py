@@ -365,7 +365,10 @@ def su_obstruction(
 
     def nice(h: Graph) -> bool:
         ch, _ = cone(h, g.marked & h.vertices)
-        return settled(min_genus(ch, genus_budget, timeout=time_left(deadline))).status == "ok"
+        left = time_left(deadline)
+        if genus_budget == 0:  # genus 0 means planar
+            return is_planar(ch)
+        return settled(min_genus(ch, genus_budget, timeout=left)).status == "ok"
 
     def witness(pid: PatternId, model: MarkedMinorModel) -> SuResult:
         ok, errs = verify_marked_model(g, build_pattern(pid), model)

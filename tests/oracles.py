@@ -4,7 +4,7 @@ These run the slow, obviously-correct route so the fast implementations
 have something honest to disagree with.  Nothing here imports the
 library's search code except three oracles that pin a pruned search to
 the plain one it replaced: pack_by_stream, which drives the library's
-model stream to check the packer's pruning, not the stream itself;
+model stream to check the packer's prunes, not the stream itself;
 kuratowski_by_ddmin, which runs the plain witness ddmin on the library's
 LR test, block split and witness decoder, to check that settling trials
 without an LR run changes no witness; and core_by_exact_genus, which
@@ -486,51 +486,42 @@ def search_block_by_lists(
 
 
 def pack_by_stream(g: Graph, h: Graph, n: int, hub: int | None = None) -> minors.PackResult:
-    """The packing recursion with neither of minors._pack's skips, kept as
-    the reference for its results: no failed-drop list and no room.
+    """The packing recursion with neither the room nor the failed-drop list
+    of minors._pack, kept as the reference for its results.
 
-    Same count test, same rule (backtrack only at a level whose copies fit
-    by count, else take the first model), same best-so-far tracking and
-    hub order, over the same model stream, so every result must equal
-    pack_disjoint's (hub None) or pack_bouquet's.  Each streamed model is
-    built with minors._model as it comes.
+    Same count test at every level, same hub order, over the same model
+    stream: it takes the first model and moves on, falling back to the
+    next only when the remainder fails.  A complete result must equal
+    pack_disjoint's (hub None) or pack_bouquet's; an incomplete one
+    carries no models, and only its flags are comparable.  Each streamed
+    model is built with minors._model as it comes.
     """
     shared = 0 if hub is None else 1
     host = minors._Host(g)
     plan = minors._Plan(h, frozenset(), () if hub is None else (hub,))
-    best: list = []
-    best_hub = None
-
-    def fits(k: int, free: int) -> bool:
-        return k * (h.n - shared) + shared <= free.bit_count() and k * h.m <= host.edge_count(free)
 
     def recurse(k: int, free: int, z: int | None, acc: list):
-        nonlocal best, best_hub
-        if len(acc) > len(best):
-            best, best_hub = list(acc), z
         if k == 0:
-            return list(acc)
-        backtrack = fits(k, free)
+            return acc
+        if k * (h.n - shared) + shared > free.bit_count() or k * h.m > host.edge_count(free):
+            return None
         keep = 0 if z is None else 1 << host.bit[z]
         roots = {} if z is None else {hub: z}
         for masks in minors._model_stream(g, h, roots=roots, host=host, free=free, plan=plan):
             m = minors.MinorModel(*minors._model(g, h, host, plan, roots, masks))
             rest = recurse(k - 1, free & ~(host.mask(m.support()) & ~keep), z, acc + [m])
-            if rest is not None or not backtrack:
+            if rest is not None:
                 return rest
         return None
 
-    free = (1 << g.n) - 1
     hubs: list = [None]
     if hub is not None:
         hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-        if not fits(n, free):
-            hubs = hubs[:1]
     for z in hubs:
-        got = recurse(n, free, z, [])
+        got = recurse(n, (1 << g.n) - 1, z, [])
         if got is not None:
             return minors.PackResult(got, complete=True, exhausted=True, hub_vertex=z)
-    return minors.PackResult(best, complete=False, exhausted=True, hub_vertex=best_hub)
+    return minors.PackResult([], complete=False, exhausted=True)
 
 
 def core_by_exact_genus(g: Graph, gamma: int) -> Graph:

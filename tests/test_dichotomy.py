@@ -411,15 +411,14 @@ def test_classify_timeout_bounds_the_whole_call():
     assert any("deadline" in note for note in out["notes"])
 
 
-# G(16, 0.35) has no planarizing set of size 0, and the search for three
-# disjoint K5 models in it runs for minutes; the timeout must reach it
+# G(20, 0.3) has no planarizing set of size 0, and the search for three
+# disjoint K5 models in it runs past 20 s; the timeout must reach it
 _PLANAR_VERTEX_TIMEOUT_SCRIPT = """
 import json, random, time
 from oracles import random_graph
 from surfembed.core import SearchTimeout
 from surfembed.dichotomy import classify, planar_vertex_flaws
-rng = random.Random(5)
-g = [random_graph(rng, 16, 0.35) for _ in range(3)][-1]
+g = random_graph(random.Random(5), 20, 0.3)
 start = time.monotonic()
 rep = classify(g, 3, 0, 1, timeout=1.0)
 elapsed = time.monotonic() - start
@@ -434,19 +433,49 @@ print(json.dumps({"elapsed": elapsed, "witnesses": len(rep.witnesses),
 """
 
 
-def test_classify_timeout_reaches_planar_vertex_flaws():
+def _run_with_oracles(script: str) -> dict:
+    """Run script in a child process that imports surfembed and the
+    oracles, so that a search that does not stop fails the test at the
+    60 s timeout instead of stalling the suite; returns its JSON output."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(surfembed.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
     proc = subprocess.run(
-        [sys.executable, "-c", _PLANAR_VERTEX_TIMEOUT_SCRIPT],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_classify_timeout_reaches_planar_vertex_flaws():
+    out = _run_with_oracles(_PLANAR_VERTEX_TIMEOUT_SCRIPT)
     assert out["elapsed"] < 10
     assert out["raised"]
     assert out["witnesses"] == 0 and not out["flaw"] and not out["certified"]
     assert out["notes"] == ["search deadline passed (1.0 s)"]
+
+
+# this G(16, 0.35) has no planarizing set of size 0.  Three disjoint K3,3
+# models do not fit its 16 vertices; three disjoint K5 models fit its 16
+# vertices and 39 edges by count, but no packing holds them.  A search that
+# also kept the largest partial packing ran for minutes; one that seeks
+# only a complete packing gives up in milliseconds
+_PLANAR_VERTEX_PACKING_SCRIPT = """
+import json, random, time
+from oracles import random_graph
+from surfembed.dichotomy import planar_vertex_flaws
+rng = random.Random(5)
+g = [random_graph(rng, 16, 0.35) for _ in range(3)][-1]
+start = time.monotonic()
+out = planar_vertex_flaws(g, 3, 0)
+print(json.dumps({"elapsed": time.monotonic() - start, "tag": out.tag}))
+"""
+
+
+def test_planar_vertex_flaws_settles_a_packing_that_cannot_complete():
+    out = _run_with_oracles(_PLANAR_VERTEX_PACKING_SCRIPT)
+    assert out["tag"] == "budget-exhausted"
+    assert out["elapsed"] < 5
 
 
 # a shape that passes each kind's arity checks, with one empty path

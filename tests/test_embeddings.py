@@ -107,6 +107,25 @@ def test_min_genus_additive_over_components():
     assert res.status == "ok" and res.genus == 2
 
 
+def test_min_genus_searches_a_2_connected_graph_in_place(monkeypatch):
+    # one block holding every edge and vertex is g itself, so no copy of
+    # it is built, planar or not
+    calls = []
+    original = Graph.edge_subgraph
+
+    def counted(self, keep_edges):
+        calls.append(1)
+        return original(self, keep_edges)
+
+    monkeypatch.setattr(Graph, "edge_subgraph", counted)
+    for g, genus in [(complete_graph(5), 1), (complete_bipartite(3, 3), 1),
+                     (complete_graph(4), 0), (cycle_graph(7), 0)]:
+        res = min_genus(g, budget=1)
+        assert res.status == "ok" and res.genus == genus
+        assert genus_of_rotation(g, res.rotation) == genus
+    assert calls == []
+
+
 def test_genus_additivity_over_blocks():
     # two K5 blocks sharing one cut vertex
     g = disjoint_union([complete_graph(5), complete_graph(5)])

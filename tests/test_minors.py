@@ -147,9 +147,10 @@ def test_pack_disjoint_two_triangles():
 
 
 def test_pack_disjoint_certifies_shortfall():
+    # two triangles do not fit three vertices by count, so no copy is placed
     res = pack_disjoint(cycle_graph(3), cycle_graph(3), 2)
     assert not res.complete and res.exhausted
-    assert len(res.models) == 1
+    assert res.models == []
 
 
 def test_pack_disjoint_counting_bound():
@@ -181,7 +182,7 @@ def test_pack_bouquet_impossible_on_path():
 
 def test_pack_bouquet_counting_bound(monkeypatch):
     # two K4 copies through one hub need 2*3 + 1 = 7 vertices; K6 has 6,
-    # so each hub candidate is settled by one greedy chain of streams
+    # so the packing fails before any stream opens
     calls = [0]
     stream = minors._model_stream
 
@@ -192,24 +193,24 @@ def test_pack_bouquet_counting_bound(monkeypatch):
     monkeypatch.setattr(minors, "_model_stream", counted)
     res = pack_bouquet(complete_graph(6), complete_graph(4), hub=0, n=2)
     assert not res.complete and res.exhausted
-    assert len(res.models) == 1
-    assert calls[0] <= 2 * 6
+    assert res.models == [] and res.hub_vertex is None
+    assert calls[0] == 0
 
 
 def test_pack_bouquet_hub_independent_bound(monkeypatch):
-    # the top-level bound does not depend on the hub vertex, so only the
-    # first hub candidate is tried
+    # the top-level bound does not depend on the hub vertex, so no hub
+    # vertex is tried and no free mask's edges are counted
     calls = [0]
-    stream = minors._model_stream
+    edge_count = minors._Host.edge_count
 
-    def counted(*args, **kwargs):
+    def counted(self, mask):
         calls[0] += 1
-        return stream(*args, **kwargs)
+        return edge_count(self, mask)
 
-    monkeypatch.setattr(minors, "_model_stream", counted)
+    monkeypatch.setattr(minors._Host, "edge_count", counted)
     res = pack_bouquet(complete_graph(6), complete_graph(4), hub=0, n=2)
     assert not res.complete and res.exhausted
-    assert calls[0] <= 2
+    assert calls[0] == 0
 
 
 def _count_calls(monkeypatch, name: str) -> list[int]:
@@ -222,6 +223,30 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
 
     monkeypatch.setattr(minors, name, counted)
     return calls
+
+
+def _count_yields(monkeypatch, name: str) -> list[int]:
+    count = [0]
+    original = getattr(minors, name)
+
+    def counted(*args, **kwargs):
+        for item in original(*args, **kwargs):
+            count[0] += 1
+            yield item
+
+    monkeypatch.setattr(minors, name, counted)
+    return count
+
+
+def test_pack_level_that_fails_the_count_opens_no_stream(monkeypatch):
+    # K4 beside a 3-vertex path fits two disjoint triangles by count, but
+    # every triangle leaves at most the path's two edges for the second,
+    # so only the top level opens a stream
+    streams = _count_calls(monkeypatch, "_model_stream")
+    g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6)])
+    res = pack_disjoint(g, complete_graph(3), 2)
+    assert not res.complete and res.exhausted and len(res.models) == 1
+    assert streams[0] == 1
 
 
 def test_pack_builds_one_plan(monkeypatch):
@@ -238,15 +263,7 @@ def test_pack_builds_only_the_models_it_returns(monkeypatch):
     # streamed models stay masks; connectors are resolved only for the
     # models of the result, complete, exhausted or timed out
     built = _count_calls(monkeypatch, "_resolve_connectors")
-    received = [0]
-    stream = minors._model_stream
-
-    def counted(*args, **kwargs):
-        for model in stream(*args, **kwargs):
-            received[0] += 1
-            yield model
-
-    monkeypatch.setattr(minors, "_model_stream", counted)
+    received = _count_yields(monkeypatch, "_model_stream")
     k33, k3 = complete_bipartite(3, 3), complete_graph(3)
     # the first triangle 0 1 2 leaves none; 0 3 4 and 1 2 5 are disjoint
     g = Graph(range(6), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (2, 5)])
@@ -328,51 +345,36 @@ def test_pack_skips_supports_that_already_failed(monkeypatch):
     # meet in one vertex; once a model's residue fails, no model whose
     # support contains that model's drop is streamed again (80 without)
     g = Graph(range(6), [(0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (3, 5)])
-    received = [0]
-    stream = minors._model_stream
-
-    def counted(*args, **kwargs):
-        for model in stream(*args, **kwargs):
-            received[0] += 1
-            yield model
-
-    monkeypatch.setattr(minors, "_model_stream", counted)
+    received = _count_yields(monkeypatch, "_model_stream")
     res = pack_bouquet(g, complete_graph(3), hub=0, n=2)
     assert not res.complete and res.exhausted and len(res.models) == 1
     assert received[0] <= 10
 
 
-def test_pack_skip_keeps_the_best_partial_packing():
-    # four disjoint K2 models do not fit.  The unpruned search first
-    # reaches three copies under {0}, {4, 5, 6}; a top-level skip of every
-    # superset of a failed drop, whatever the best so far, would cut that
-    # subtree and return three copies starting {0}, {5} instead
-    g = Graph(range(8), [(0, 5), (1, 7), (2, 3), (3, 6), (4, 5), (5, 6), (5, 7), (6, 7)])
-    res = pack_disjoint(g, path_graph(2), 4)
-    assert not res.complete and res.exhausted
-    assert [m.branch_sets for m in res.models] == [
-        {0: {0}, 1: {4, 5, 6}}, {0: {1}, 1: {7}}, {0: {2}, 1: {3}},
-    ]
-
-
-def _same_packing(got, want):
-    assert (got.complete, got.exhausted, got.hub_vertex) == (
-        want.complete, want.exhausted, want.hub_vertex)
-    assert [(m.branch_sets, m.connect_edges) for m in got.models] == [
-        (m.branch_sets, m.connect_edges) for m in want.models]
+def _same_packing(g, h, got, want, hub=None):
+    # a complete packing is the plain recursion's, hub vertex and models
+    # alike; an incomplete one carries some valid partial packing
+    assert (got.complete, got.exhausted) == (want.complete, want.exhausted)
+    if want.complete:
+        assert got.hub_vertex == want.hub_vertex
+        assert [(m.branch_sets, m.connect_edges) for m in got.models] == [
+            (m.branch_sets, m.connect_edges) for m in want.models]
+    else:
+        _check_packing(g, h, got, hub)
 
 
 def test_packing_matches_the_unpruned_recursion(rng):
-    # the failed-drop skip and the room change no result: every flag,
-    # hub vertex, branch set and connector is the plain recursion's
+    # the count, the room and the failed-drop skip change no complete
+    # result: 1 008 packings, each flag, and the hub vertex, branch sets
+    # and connectors of every complete one, are the plain recursion's
     patterns = [complete_graph(3), complete_graph(4), cycle_graph(4),
                 complete_bipartite(1, 3), path_graph(3), complete_bipartite(2, 3)]
-    for trial in range(40):
+    for trial in range(42):
         g = random_graph(rng, rng.randrange(4, 9), rng.choice((0.3, 0.45, 0.6, 0.75)))
         for h in patterns:
             for n in (2, 3):
-                _same_packing(pack_disjoint(g, h, n), pack_by_stream(g, h, n))
-                _same_packing(pack_bouquet(g, h, 0, n), pack_by_stream(g, h, n, hub=0))
+                _same_packing(g, h, pack_disjoint(g, h, n), pack_by_stream(g, h, n))
+                _same_packing(g, h, pack_bouquet(g, h, 0, n), pack_by_stream(g, h, n, hub=0), 0)
 
 
 def test_bouquet_room_leaves_the_hub_to_share():
@@ -382,44 +384,35 @@ def test_bouquet_room_leaves_the_hub_to_share():
     # would skip {0, 3}, {1}, {4} and return other models
     g = Graph(range(6), [(0, 3), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
     res = pack_bouquet(g, complete_graph(3), hub=0, n=2)
-    _same_packing(res, pack_by_stream(g, complete_graph(3), 2, hub=0))
+    _same_packing(g, complete_graph(3), res, pack_by_stream(g, complete_graph(3), 2, hub=0), 0)
     assert res.complete and res.hub_vertex == 4
     assert [m.branch_sets for m in res.models] == [
         {0: {4}, 1: {0, 3}, 2: {1}}, {0: {4}, 1: {2}, 2: {5}},
     ]
 
 
-def test_room_waits_for_a_best_of_n_minus_one():
+def test_room_applies_from_the_first_copy(monkeypatch):
     # every K3 model of the 6-cycle takes all six vertices, more than the
-    # room of 6 - 3 left for a second copy.  Before one copy is held, the
-    # room must not apply, or no copy at all would be returned
-    res = pack_disjoint(cycle_graph(6), complete_graph(3), 2)
-    assert not res.complete and res.exhausted and len(res.models) == 1
-    _same_packing(res, pack_by_stream(cycle_graph(6), complete_graph(3), 2))
-
-
-def _count_subset_yields(monkeypatch) -> list[int]:
-    count = [0]
-    subsets = minors._connected_subsets
-
-    def counted(*args, **kwargs):
-        for item in subsets(*args, **kwargs):
-            count[0] += 1
-            yield item
-
-    monkeypatch.setattr(minors, "_connected_subsets", counted)
-    return count
+    # room of 6 - 3 left for a second copy, so none is streamed
+    received = _count_yields(monkeypatch, "_model_stream")
+    c6, k3 = cycle_graph(6), complete_graph(3)
+    res = pack_disjoint(c6, k3, 2)
+    assert not res.complete and res.exhausted and res.models == []
+    assert received[0] == 0
+    _same_packing(c6, k3, res, pack_by_stream(c6, k3, 2))
 
 
 def test_room_cuts_exhausted_packings_on_k33(monkeypatch):
     # K3,3 holds no two triangle minors, disjoint or through one vertex.
-    # Once one copy is held, a first copy that leaves too few vertices for
-    # the second is not streamed (318 and 1 269 yields without the room)
+    # A first copy that leaves too few vertices for the second is not
+    # streamed (318 and 1 269 yields without the room).  Every disjoint
+    # triangle takes four of the six vertices, so none is placed (98
+    # yields while the room waited for one copy to be held)
     k33, k3 = complete_bipartite(3, 3), complete_graph(3)
-    count = _count_subset_yields(monkeypatch)
+    count = _count_yields(monkeypatch, "_connected_subsets")
     res = pack_disjoint(k33, k3, 2)
-    assert not res.complete and res.exhausted and len(res.models) == 1
-    assert count[0] <= 150
+    assert not res.complete and res.exhausted and res.models == []
+    assert count[0] <= 40
     count[0] = 0
     res = pack_bouquet(k33, k3, 0, 2)
     assert not res.complete and res.exhausted and len(res.models) == 1

@@ -265,6 +265,22 @@ def test_su_obstruction_walks_the_theta_stream(monkeypatch, indices, n, status, 
     assert len(calls) <= len(indices) + 1
 
 
+def test_su_obstruction_at_budget_zero_runs_no_genus_search(monkeypatch):
+    # genus 0 means planar, so every cone is settled by a planarity test
+    calls = []
+
+    def counted(*args, _fn=outerplanarity.min_genus, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(outerplanarity, "min_genus", counted)
+    res = su_obstruction(_theta_union((1, 2, 3, 4, 1)), 0, 3)
+    assert res.status == "certificate" and len(res.removed) == 5
+    res = su_obstruction(_marked_slice(5, 2), 0, 2)
+    assert res.found and res.kind.label() == "u1(2)"
+    assert calls == []
+
+
 def test_su_obstruction_certificate_when_cone_is_free():
     g = cycle_graph(4)
     res = su_obstruction(MarkedGraph(g, g.vertices), 0, 2)
