@@ -24,9 +24,7 @@ from .core import (
 )
 from .decompose import (
     Decomposition,
-    contraction_planarize,
     genus_bound,
-    overlap_report,
     verify_decomposition,
 )
 from .dichotomy import (
@@ -58,7 +56,7 @@ from .embeddings import (
     validate_rotation,
     verify_kuratowski,
 )
-from .iso import are_isomorphic, find_isomorphism
+from .iso import are_isomorphic
 from .minors import (
     MarkedMinorModel,
     MinorModel,
@@ -74,13 +72,11 @@ from .minors import (
 from .outerplanarity import (
     DoubleStarResult,
     NonPlanarInput,
-    RelativeGenusResult,
     SuResult,
     ThetaWitness,
     double_star_search,
     extract_theta,
     is_u_outerplanar,
-    relative_genus,
     su_obstruction,
     u_star_search,
 )

@@ -19,8 +19,6 @@ from itertools import combinations
 
 from .core import (
     Graph,
-    SearchTimeout,
-    contract,
     deadline_after,
     minimal_connecting_forest,
     norm_edge,
@@ -39,40 +37,24 @@ from .embeddings import (
 Edge = tuple[int, int]
 
 
-def overlap_report(pieces: list[Graph]) -> list[tuple[int, int, frozenset[int]]]:
-    """All pairs of pieces with a nonempty vertex intersection."""
-    out = []
-    for i, j in combinations(range(len(pieces)), 2):
-        shared = pieces[i].vertices & pieces[j].vertices
-        if shared:
-            out.append((i, j, shared))
-    return out
-
-
 @dataclass
 class Decomposition:
-    """Pieces covering a host graph, plus the refined core and the pairwise
-    overlap report.  Pieces are genuine subgraphs of the host."""
+    """Pieces covering a host graph, plus the refined core.  Pieces are
+    genuine subgraphs of the host."""
 
     pieces: tuple[Graph, ...]
     core: Graph
-    overlaps: tuple[tuple[int, int, frozenset[int]], ...] | None = None
 
     def __post_init__(self) -> None:
         self.pieces = tuple(self.pieces)
-        if self.overlaps is None:
-            self.overlaps = tuple(overlap_report(self.pieces))
-        else:
-            self.overlaps = tuple(tuple(o) if not isinstance(o, tuple) else o
-                                  for o in self.overlaps)
 
 
 def verify_decomposition(
     g: Graph, d: Decomposition, cap: int | None = None
 ) -> tuple[bool, list[str]]:
     """Re-check a decomposition: subgraph pieces, exact union coverage,
-    pairwise intersections within cap, per-piece planarity, and an overlap
-    report that matches the pieces.  Returns (ok, violations)."""
+    pairwise intersections within cap, and per-piece planarity.  Returns
+    (ok, violations)."""
     errs: list[str] = []
     vs: set[int] = set()
     es: set[Edge] = set()
@@ -92,8 +74,6 @@ def verify_decomposition(
             shared = d.pieces[i].vertices & d.pieces[j].vertices
             if len(shared) > cap:
                 errs.append(f"pieces {i},{j} share {len(shared)} > cap {cap} vertices")
-    if tuple(d.overlaps) != tuple(overlap_report(d.pieces)):
-        errs.append("overlap report does not match the pieces")
     return (not errs, errs)
 
 
@@ -310,39 +290,3 @@ def decompose(g: Graph, genus_budget: int, timeout: float | None = None) -> Deco
     assert ok, errs
     return d
 
-
-def contraction_planarize(
-    g: Graph, k: int, genus_budget: int = 3, timeout: float | None = None
-) -> frozenset[Edge] | None:
-    """An edge set F with |F| <= k whose contraction makes g planar, or None.
-
-    Strategy: decompose, join the vertices shared between pieces by a
-    minimal forest in g and contract that; when the forest is too large or
-    does not work, fall back to exhaustive search over small edge subsets.
-    One deadline bounds the whole call: a decompose stage that runs out of
-    it falls through to the fallback, which raises SearchTimeout before
-    the first trial contraction that would start after the deadline.
-    """
-    if is_planar(g):
-        return frozenset()
-    if k <= 0:
-        return None
-    deadline = deadline_after(timeout)
-    try:
-        d = decompose(g, genus_budget, timeout=time_left(deadline))
-        mult: Counter[int] = Counter(v for p in d.pieces for v in p.vertices)
-        shared = {v for v, t in mult.items() if t > 1}
-        forest = minimal_connecting_forest(g, shared)
-        if 0 < forest.m <= k:
-            q, _ = contract(g, forest.edges)
-            if is_planar(q):
-                return frozenset(forest.edges)
-    except (BudgetExceeded, SearchTimeout):
-        pass
-    for size in range(1, k + 1):
-        for combo in combinations(sorted(g.edges), size):
-            time_left(deadline)
-            q, _ = contract(g, combo)
-            if is_planar(q):
-                return frozenset(norm_edge(a, b) for a, b in combo)
-    return None

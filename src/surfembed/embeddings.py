@@ -490,7 +490,9 @@ def min_genus(
     )
 
 
-genus_additivity = min_genus  # the block split is part of min_genus
+# the block split is part of min_genus; the alias stays only because
+# bench/tracing.py's layer table and tests/test_bench_layers.py name it
+genus_additivity = min_genus
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +515,6 @@ class KuratowskiWitness:
 
     def path_dict(self) -> dict[tuple[int, int], tuple[int, ...]]:
         return dict(self.paths)
-
-    def all_vertices(self) -> frozenset[int]:
-        out = set(self.branch_vertices)
-        for _, p in self.paths:
-            out |= set(p)
-        return frozenset(out)
 
 
 def pattern_edges_of(kind: str) -> list[tuple[int, int]]:

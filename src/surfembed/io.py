@@ -25,10 +25,16 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _container(x, kind, what: str):
+    """Every JSON reader checks an object or a list here before it looks
+    inside, as it checks integers with _int."""
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} must be {'an object' if kind is dict else 'a list'}, got {x!r}")
+    return x
+
+
 def _ints(xs, what: str) -> tuple[int, ...]:
-    if not isinstance(xs, (list, tuple)):
-        raise ValueError(f"{what} must be a list of integers, got {xs!r}")
-    return tuple(_int(x, f"each entry of {what}") for x in xs)
+    return tuple(_int(x, f"each entry of {what}") for x in _container(xs, (list, tuple), what))
 
 
 def parse_edge_list(text: str) -> Graph | MarkedGraph:
@@ -94,9 +100,10 @@ def graph_to_json(g: Graph | MarkedGraph) -> dict:
 
 
 def graph_from_json(d: dict) -> Graph | MarkedGraph:
+    d = _container(d, dict, "graph")
     g = Graph(
         _ints(d.get("vertices", []), "vertices"),
-        [_ints(e, "edge") for e in d.get("edges", [])],
+        [_ints(e, "edge") for e in _container(d.get("edges", []), list, "edges")],
     )
     marked = frozenset(_ints(d.get("marked", []), "marked"))
     if marked:
@@ -120,7 +127,8 @@ def rotation_to_json(rho: RotationSystem) -> dict:
 
 
 def rotation_from_json(d: dict) -> RotationSystem:
-    rot = {int(v): _ints(nbrs, f"rotation at {v}") for v, nbrs in d["rotation"].items()}
+    rotation = _container(d["rotation"], dict, "rotation")
+    rot = {int(v): _ints(nbrs, f"rotation at {v}") for v, nbrs in rotation.items()}
     return RotationSystem.from_dict(rot)
 
 
@@ -139,12 +147,13 @@ def model_to_json(model: MinorModel) -> dict:
 
 
 def model_from_json(d: dict) -> MinorModel:
+    d = _container(d, dict, "minor model")
     bsets = {
         int(pv): frozenset(_ints(bs, f"branch set {pv}"))
-        for pv, bs in d["branch_sets"].items()
+        for pv, bs in _container(d["branch_sets"], dict, "branch_sets").items()
     }
     conn = {}
-    for key, e in d.get("edges", {}).items():
+    for key, e in _container(d.get("edges", {}), dict, "edges").items():
         u, v = key.split("-")
         a, b = _ints(e, f"edge {key}")
         conn[norm_edge(int(u), int(v))] = (a, b)
@@ -163,6 +172,7 @@ def pattern_id_to_json(pid: PatternId) -> dict:
 
 
 def pattern_id_from_json(d: dict) -> PatternId:
+    d = _container(d, dict, "pattern id")
     level = d.get("level")
     return PatternId(
         d["family"],
@@ -181,8 +191,9 @@ def kuratowski_to_json(w: KuratowskiWitness) -> dict:
 
 
 def kuratowski_from_json(d: dict) -> KuratowskiWitness:
+    d = _container(d, dict, "Kuratowski witness")
     paths = []
-    for key, p in d["paths"].items():
+    for key, p in _container(d["paths"], dict, "paths").items():
         i, j = key.split("-")
         paths.append(((int(i), int(j)), _ints(p, f"path {key}")))
     return KuratowskiWitness(
@@ -194,17 +205,16 @@ def decomposition_to_json(d: Decomposition) -> dict:
     return {
         "pieces": [graph_to_json(p) for p in d.pieces],
         "core": graph_to_json(d.core),
-        "overlaps": [[i, j, sorted(shared)] for i, j, shared in d.overlaps],
     }
 
 
 def decomposition_from_json(d: dict) -> Decomposition:
-    pieces = [graph_from_json(p) for p in d["pieces"]]
+    """The inverse of decomposition_to_json.  An "overlaps" key, which
+    older certificates carry, is ignored: it is a function of the pieces."""
+    pieces = [graph_from_json(p) for p in _container(d["pieces"], list, "pieces")]
     if any(isinstance(p, MarkedGraph) for p in pieces):
         raise ValueError("decomposition pieces carry no markings")
-    core = graph_from_json(d["core"])
-    overlaps = [(i, j, frozenset(_ints(s, "overlap"))) for i, j, s in d.get("overlaps", [])]
-    return Decomposition(tuple(pieces), core, tuple(overlaps))
+    return Decomposition(tuple(pieces), graph_from_json(d["core"]))
 
 
 def comb_to_json(s: CombStructure) -> dict:
@@ -218,10 +228,12 @@ def comb_to_json(s: CombStructure) -> dict:
 
 
 def comb_from_json(d: dict) -> CombStructure:
+    d = _container(d, dict, "comb structure")
     return CombStructure(
         d["kind"],
-        PathSystem(tuple(_ints(p, "path") for p in d.get("paths", [])), frozenset()),
-        tuple(_ints(p, "spine") for p in d.get("spines", [])),
+        PathSystem(tuple(_ints(p, "path") for p in _container(d.get("paths", []), list, "paths")),
+                   frozenset()),
+        tuple(_ints(p, "spine") for p in _container(d.get("spines", []), list, "spines")),
         _ints(d.get("centers", []), "centers"),
         _int(d.get("level", 0), "level"),
     )

@@ -1,6 +1,6 @@
 """Isomorphism for small graphs.
 
-An explicit vertex bijection by backtracking, most-constrained vertex
+A search for a vertex bijection by backtracking, most-constrained vertex
 first, with degree pruning.  Fine for the desk-scale graphs this package
 works with (tens of vertices); not meant for more.
 """
@@ -11,19 +11,15 @@ from .core import Graph
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return find_isomorphism(g, h) is not None
-
-
-def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
-    """Explicit vertex bijection g -> h, or None.  Backtracking with degree pruning."""
+    """Whether some vertex bijection g -> h maps edges exactly onto edges."""
     if g.n != h.n or g.m != h.m:
-        return None
+        return False
     gs = g.sorted_vertices()
     hs = h.sorted_vertices()
     gdeg = {v: g.degree(v) for v in gs}
     hdeg = {v: h.degree(v) for v in hs}
     if sorted(gdeg.values()) != sorted(hdeg.values()):
-        return None
+        return False
     # most-constrained-first: descending degree
     order = sorted(gs, key=lambda v: (-gdeg[v], v))
     mapping: dict[int, int] = {}
@@ -52,4 +48,4 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
             used.discard(w)
         return False
 
-    return dict(mapping) if rec(0) else None
+    return rec(0)

@@ -19,11 +19,12 @@ returned becomes frozensets and connectors.  A connected pattern is
 sought only inside the host component of its first branch set.  A
 packing shares one plan across all its streams, keeps its partial
 packings as mask tuples and recurses on a mask of the vertices still
-free.  It skips every model whose support contains the drop of a model
-whose residue already failed, since that leaves a subgraph of the failed
-residue, and, once its best partial packing lacks only one copy, every
-model whose support leaves too few free vertices for the copies still to
-come (int.bit_count needs Python 3.10).
+free.  It searches for a complete packing only: a level whose copies do
+not fit its free vertices and edges by count fails at once, and from the
+first copy on it skips every model whose support contains the drop of a
+model whose residue already failed, since that leaves a subgraph of the
+failed residue, and every model whose support leaves too few free
+vertices for the copies still to come (int.bit_count needs Python 3.10).
 
 find_minor and find_marked_minor settle two kinds of absence before the
 whole-host search.  Both prune only what yields nothing: a model, a

@@ -31,7 +31,6 @@ from .core import (
     time_left,
 )
 from .embeddings import (
-    BudgetExceeded,
     KuratowskiWitness,
     RotationSystem,
     is_planar,
@@ -70,19 +69,6 @@ class ThetaWitness:
 
     index: int
     model: MarkedMinorModel
-
-
-@dataclass
-class RelativeGenusResult:
-    """Genus of the cone and of the base, plus the critical vertices.
-
-    A vertex is critical when the cone costs extra genus on the whole
-    graph but not once that vertex is removed.  Empty when coning is
-    already free."""
-
-    gamma_cone: int
-    gamma_base: int
-    critical: tuple[int, ...]
 
 
 @dataclass
@@ -201,38 +187,6 @@ def extract_theta(g: MarkedGraph, w: KuratowskiWitness, cone_v: int) -> ThetaWit
     ok, errs = verify_marked_model(g, theta(idx), model)
     assert ok, errs
     return ThetaWitness(idx, model)
-
-
-def relative_genus(
-    g: Graph, u: Iterable[int], budget: int, timeout: float | None = None
-) -> RelativeGenusResult:
-    """Euler genus of the cone over u and of g, plus the critical vertices.
-
-    Raises BudgetExceeded when a needed genus value exceeds the budget, and
-    SearchTimeout when the timeout, which bounds the whole call, passes.
-    """
-    u = MarkedGraph(g, frozenset(u)).marked
-    deadline = deadline_after(timeout)
-
-    def exact(h: Graph, cap: int) -> int:
-        r = settled(min_genus(h, cap, timeout=time_left(deadline)))
-        if r.status != "ok":
-            raise BudgetExceeded(f"genus search {r.status} at budget {cap}")
-        return r.genus
-
-    gamma_base = exact(g, budget)
-    cg, _ = cone(g, u)
-    gamma_cone = exact(cg, budget)
-    crit: list[int] = []
-    if gamma_cone > gamma_base:
-        for x in g.sorted_vertices():
-            hx = g.remove_vertices([x])
-            gb = exact(hx, budget)
-            cx, _ = cone(hx, u - {x})
-            rx = settled(min_genus(cx, gb, timeout=time_left(deadline)))
-            if rx.status == "ok":
-                crit.append(x)
-    return RelativeGenusResult(gamma_cone, gamma_base, tuple(crit))
 
 
 def u_star_search(g: MarkedGraph, x: int, n: int) -> PathSystem:

@@ -44,7 +44,6 @@ from surfembed.dichotomy import (
     verify_comb,
 )
 from surfembed.embeddings import (
-    genus_additivity,
     genus_of_rotation,
     min_genus,
     planarity,
@@ -83,7 +82,7 @@ def test_criterion_1_genus_engine():
     # two K5 blocks on a cut vertex: block additivity with certified blocks
     t0 = time.monotonic()
     wedge = identify_vertices(both, 4, 5)
-    r = genus_additivity(wedge, 2)
+    r = min_genus(wedge, 2)
     assert time.monotonic() - t0 < 30
     assert r.status == "ok" and r.genus == 2
     validate_rotation(wedge, r.rotation)
@@ -194,7 +193,7 @@ def test_criterion_6_decomposition_round_trip():
         disjoint_union([complete_graph(5), cycle_graph(6)]),
     ]
     for g in corpus:
-        cert = genus_additivity(g, 3)
+        cert = min_genus(g, 3)
         assert cert.status == "ok"
         d = decompose(g, 3)
         ok, errs = verify_decomposition(g, d)

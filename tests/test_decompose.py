@@ -1,4 +1,4 @@
-"""Planar-piece decompositions, genus bounds, contraction planarization."""
+"""Planar-piece decompositions and genus bounds."""
 
 from __future__ import annotations
 
@@ -17,22 +17,15 @@ from surfembed.core import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    identify_vertices,
 )
 from surfembed.decompose import (
     Decomposition,
-    contraction_planarize,
     decompose,
     genus_bound,
-    overlap_report,
     verify_decomposition,
 )
 from surfembed.embeddings import BudgetExceeded, min_genus, planarity
 from surfembed.patterns import sigma
-
-
-def _wedge_of_k5s() -> Graph:
-    return identify_vertices(disjoint_union([complete_graph(5), complete_graph(5)]), 4, 5)
 
 
 def test_planar_host_is_one_piece():
@@ -40,7 +33,6 @@ def test_planar_host_is_one_piece():
     d = decompose(g, 1)
     assert len(d.pieces) == 1 and d.pieces[0] == g
     assert d.core.m == 0
-    assert d.overlaps == ()
     ok, errs = verify_decomposition(g, d)
     assert ok, errs
 
@@ -113,13 +105,8 @@ def test_verify_decomposition_catches_bad_claims():
     broken = Decomposition(d.pieces[1:], core=d.core)
     ok, errs = verify_decomposition(g, broken)
     assert not ok
-    # stale overlap report
-    lied = Decomposition(d.pieces, core=d.core, overlaps=())
-    if overlap_report(list(d.pieces)):
-        ok, errs = verify_decomposition(g, lied)
-        assert not ok
     # nonplanar piece
-    whole = Decomposition((g,), core=d.core, overlaps=())
+    whole = Decomposition((g,), core=d.core)
     ok, errs = verify_decomposition(g, whole)
     assert not ok
     # overlap cap
@@ -132,59 +119,8 @@ def test_verify_decomposition_catches_bad_claims():
 
 def test_decomposition_normalizes_sequences():
     g = cycle_graph(3)
-    d = Decomposition([g], core=Graph(), overlaps=[])
+    d = Decomposition([g], core=Graph())
     assert isinstance(d.pieces, tuple)
-    assert isinstance(d.overlaps, tuple)
-
-
-def test_contraction_planarize_trivial_and_k5():
-    assert contraction_planarize(cycle_graph(6), 2) == frozenset()
-    f = contraction_planarize(complete_graph(5), 1)
-    assert f is not None and len(f) == 1
-    from surfembed.core import contract
-
-    q, _ = contract(complete_graph(5), f)
-    assert planarity(q).planar
-
-
-def test_contraction_planarize_wedge_needs_two():
-    g = _wedge_of_k5s()
-    assert contraction_planarize(g, 1, timeout=1.0) is None
-    f = contraction_planarize(g, 2, timeout=1.0)
-    assert f is not None and len(f) <= 2
-    from surfembed.core import contract
-
-    q, _ = contract(g, f)
-    assert planarity(q).planar
-
-
-def test_contraction_planarize_bridged_k5s():
-    g = disjoint_union([complete_graph(5), complete_graph(5)]).add_edges([(4, 5)])
-    assert contraction_planarize(g, 1, timeout=1.0) is None
-    f = contraction_planarize(g, 2, timeout=1.0)
-    assert f is not None and len(f) <= 2
-
-
-def test_contraction_planarize_timeout_bounds_the_fallback():
-    # three K5s joined in a row by paths of 11 edges (m = 52) need three
-    # contractions, so with k = 2 the fallback would try all 1 378 sets of
-    # one or two edges, about 0.3 s, long after the deadline
-    edges = [(5 * i + a, 5 * i + b) for i in range(3) for a in range(5) for b in range(a + 1, 5)]
-    n = 15
-    for i in range(2):
-        path = [5 * i + 4, *range(n, n + 10), 5 * (i + 1)]
-        n += 10
-        edges += list(zip(path, path[1:]))
-    g = Graph(range(n), edges)
-    assert g.m == 52
-    start = time.monotonic()
-    with pytest.raises(SearchTimeout):
-        contraction_planarize(g, 2, timeout=0.01)
-    assert time.monotonic() - start < 0.5
-
-
-def test_contraction_planarize_rejects_hopeless_k():
-    assert contraction_planarize(complete_graph(5), 0) is None
 
 
 def test_decompose_random_hosts(rng):

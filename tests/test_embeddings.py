@@ -30,7 +30,6 @@ from surfembed.core import (
 from surfembed.embeddings import (
     KuratowskiWitness,
     RotationSystem,
-    genus_additivity,
     genus_of_rotation,
     is_planar,
     min_genus,
@@ -130,7 +129,7 @@ def test_genus_additivity_over_blocks():
     # two K5 blocks sharing one cut vertex
     g = disjoint_union([complete_graph(5), complete_graph(5)])
     g = identify_vertices(g, 4, 5)
-    res = genus_additivity(g, budget=2)
+    res = min_genus(g, budget=2)
     assert res.status == "ok" and res.genus == 2
     validate_rotation_target = res.rotation
     validate_rotation(g, validate_rotation_target)
@@ -202,10 +201,10 @@ def _above_its_bound() -> Graph:
 
 def test_timed_out_genus_is_not_replayed():
     g = _above_its_bound()  # genus 2
-    timed = genus_additivity(g, 2, timeout=0.01)
+    timed = min_genus(g, 2, timeout=0.01)
     assert timed.status == "timeout" and timed.genus is None
     assert timed.lower_bound <= 2  # a timeout's lower bound is still sound
-    res = genus_additivity(g, 2)
+    res = min_genus(g, 2)
     assert res.status == "ok" and res.genus == 2
     assert genus_of_rotation(g, res.rotation) == 2
     assert min_genus(g, 2, timeout=0.01).status == "timeout"

@@ -285,7 +285,12 @@ def test_cli_su_obstruct_timeout_exits_2(tmp_path, capsys):
 def test_cli_decompose_and_verify(tmp_path, capsys):
     assert main(["decompose", "--json", "--budget", "1", _k5(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"pieces", "core", "genus_bound"}
     wfile = _write(tmp_path, "d.json", json.dumps(payload))
+    assert main(["verify", "decomposition", "--graph", _k5(tmp_path), "--witness", wfile]) == 0
+    # an "overlaps" key, which older certificates carry, is ignored even when wrong
+    payload["overlaps"] = [[0, 1, [99]]]
+    wfile = _write(tmp_path, "old.json", json.dumps(payload))
     assert main(["verify", "decomposition", "--graph", _k5(tmp_path), "--witness", wfile]) == 0
 
 
@@ -400,6 +405,18 @@ def test_cli_verify_comb_with_empty_path_is_invalid(tmp_path, capsys):
         ("decomposition", {"pieces": [{"vertices": [0, 1], "edges": [[0, [1]]]}],
                            "core": {"vertices": [], "edges": []}, "overlaps": []}, None),
         ("comb", [0, 1], None),
+        # containers of the wrong type
+        ("rotation", {"rotation": 5}, None),
+        ("kuratowski", {"kind": "K5", "branch_vertices": [0, 1, 2, 3, 4], "paths": []}, None),
+        ("comb", {"structure": {"kind": "star", "paths": 5}}, None),
+        ("decomposition", {"pieces": 5, "core": {"vertices": [], "edges": []}}, None),
+        ("decomposition", {"pieces": [5], "core": {"vertices": [], "edges": []}}, None),
+        ("decomposition", {"pieces": [], "core": 3}, None),
+        ("decomposition", {"pieces": [{"vertices": [0], "edges": 5}],
+                           "core": {"vertices": [], "edges": []}}, None),
+        ("minor", {"branch_sets": 5}, "k5"),
+        ("minor", {"branch_sets": {"0": [0]}, "edges": 5}, "k5"),
+        ("minor", {"model": {"branch_sets": {"0": [0]}}, "kind": 5}, None),
     ],
 )
 def test_cli_verify_mistyped_witness_is_an_error(tmp_path, capsys, kind, witness, pattern):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 import surfembed.outerplanarity as outerplanarity
@@ -11,7 +9,6 @@ from oracles import has_k4_minor, has_k23_minor, random_graph
 from surfembed.core import (
     Graph,
     MarkedGraph,
-    SearchTimeout,
     complete_bipartite,
     complete_graph,
     cone,
@@ -33,7 +30,6 @@ from surfembed.outerplanarity import (
     double_star_search,
     extract_theta,
     is_u_outerplanar,
-    relative_genus,
     su_obstruction,
     u_star_search,
 )
@@ -129,22 +125,6 @@ def test_extract_theta_needs_cone_vertex_on_witness():
     assert extract_theta(MarkedGraph(g, g.vertices), w, apex).index == 1
     with pytest.raises(ValueError, match="cone vertex does not lie on the witness"):
         extract_theta(MarkedGraph(g, g.vertices), w, apex + 1)
-
-
-def test_relative_genus_k4_fully_marked():
-    g = complete_graph(4)
-    res = relative_genus(g, g.vertices, budget=2)
-    assert res.gamma_base == 0
-    assert res.gamma_cone == 1
-    # dropping any one vertex makes the cone free again
-    assert set(res.critical) == set(g.vertices)
-
-
-def test_relative_genus_free_cone():
-    g = cycle_graph(4)
-    res = relative_genus(g, g.vertices, budget=1)
-    assert res.gamma_cone == res.gamma_base == 0
-    assert res.critical == ()
 
 
 def test_u_star_search_counts_leaves():
@@ -322,10 +302,3 @@ def test_su_obstruction_starts_no_stage_after_deadline(monkeypatch):
     res = su_obstruction(omega_theta(3, 2), 0, 2, timeout=0.0)
     assert res.status == "timeout"
     assert calls == []
-
-
-def test_relative_genus_timeout_raises_search_timeout():
-    start = time.monotonic()
-    with pytest.raises(SearchTimeout):
-        relative_genus(sigma(5, 3), [2, 3], 2, timeout=1.0)
-    assert time.monotonic() - start < 3.0
