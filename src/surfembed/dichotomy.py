@@ -75,9 +75,11 @@ class CombStructure:
     """A marked substructure located by one of the searches.
 
     carrier holds the path family (teeth, legs, rungs, or center-to-mark
-    paths depending on kind); spines hold the path-shaped designated
-    parts, centers the designated vertices.  level is the count the
-    structure is claimed to achieve; verify_comb re-checks everything.
+    paths depending on kind); spines hold the designated spines, a path
+    for a comb and cycles for a ladder or a fan, each cycle listed in
+    order without repeating its first vertex; centers hold the
+    designated vertices.  level is the count the structure is claimed to
+    achieve; verify_comb re-checks everything.
     """
 
     kind: str  # star|comb|two-star|double-star|ladder|fan|dominating-set
@@ -93,6 +95,10 @@ def _is_path(g: Graph, p: tuple[int, ...]) -> bool:
     if any(v not in g.vertices for v in p):
         return False
     return all(g.has_edge(p[i], p[i + 1]) for i in range(len(p) - 1))
+
+
+def _is_cycle(g: Graph, c: tuple[int, ...]) -> bool:
+    return len(c) >= 3 and _is_path(g, c) and g.has_edge(c[-1], c[0])
 
 
 def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, list[str]]:
@@ -165,8 +171,8 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
         if len(s.spines) != 2:
             return False, ["ladder needs two spines"]
         r, l = s.spines
-        if not _is_path(g, r) or not _is_path(g, l):
-            errs.append("a spine is not a path of the graph")
+        if not _is_cycle(g, r) or not _is_cycle(g, l):
+            errs.append("a spine is not a cycle of the graph")
         if set(r) & set(l):
             errs.append("the spines intersect")
         body = set(r) | set(l)
@@ -188,8 +194,8 @@ def verify_comb(g: Graph, u: frozenset[int], s: CombStructure) -> tuple[bool, li
             return False, ["fan needs one apex and one spine"]
         d = s.centers[0]
         spine = s.spines[0]
-        if not _is_path(g, spine):
-            errs.append("spine is not a path of the graph")
+        if not _is_cycle(g, spine):
+            errs.append("spine is not a cycle of the graph")
         if d in spine:
             errs.append("apex lies on the spine")
         sset = set(spine)
@@ -373,6 +379,17 @@ def _through_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
     return [(x, *p, y) for p in sys.paths]
 
 
+def _path_pairs(g: Graph, n: int):
+    """The pairs x < y, in combinations order, that can carry n internally
+    disjoint x-y paths with interiors: each path leaves x and enters y by
+    an edge of its own, so both need n neighbours besides each other.
+    Every other pair has fewer than n _through_paths, so skipping it
+    changes no first pair found."""
+    for x, y in itertools.combinations(g.sorted_vertices(), 2):
+        if min(g.degree(x), g.degree(y)) - g.has_edge(x, y) >= n:
+            yield x, y
+
+
 def _double_star_at(
     g: Graph, u: frozenset[int], x: int, y: int, n: int
 ) -> CombStructure | None:
@@ -435,7 +452,7 @@ def two_connected_structures(g: Graph, u: frozenset[int], n: int) -> CombStructu
     this level, not that none exists.
     """
     u = _marks_in(g, u)
-    for x, y in itertools.combinations(g.sorted_vertices(), 2):
+    for x, y in _path_pairs(g, n):
         found = _double_star_at(g, u, x, y, n)
         if found is not None:
             return found
@@ -475,8 +492,10 @@ def _pack_witness(g: Graph, pid: PatternId, timeout: float | None = None) -> Wit
 
 def _k2n_witness(g: Graph, n: int) -> MinorModel | None:
     """n internally disjoint two-terminal paths of length >= 2 give a
-    K_{2,n} model with the path interiors as the n-side branch sets."""
-    for x, y in itertools.combinations(g.sorted_vertices(), 2):
+    K_{2,n} model with the path interiors as the n-side branch sets.  The
+    first pair, in combinations order, with n such paths gives it; pairs
+    that lack the neighbours for n paths (_path_pairs) run no flow."""
+    for x, y in _path_pairs(g, n):
         mids = _through_paths(g, x, y)
         if len(mids) < n:
             continue

@@ -9,15 +9,16 @@ sets of twin pattern vertices; "absent" is only ever reported after the
 whole candidate space has been enumerated.  When a time budget runs out
 the result says so explicitly instead of masquerading as absence.
 
-The search runs on integer bit masks.  Each search indexes its host once,
-vertex ids in sorted order becoming bit positions, so the smallest id of
-a set is its lowest bit.  Candidate branch sets, their neighbourhoods,
-the marks and the free part of the host are masks.  The model stream
-yields each model as the tuple of its branch-set masks, in the order of
-a placement plan built once from the pattern; only a model that is
-returned becomes frozensets and connectors.  A connected pattern is
-sought only inside the host component of its first branch set.  A
-packing shares one plan across all its streams, keeps its partial
+The search runs on integer bit masks.  A host is indexed with vertex ids
+in sorted order becoming bit positions, so the smallest id of a set is
+its lowest bit.  Candidate branch sets, their neighbourhoods, the marks
+and the free part of the host are masks.  The model stream yields each
+model as the tuple of its branch-set masks, in the order of a placement
+plan built from the pattern; only a model that is returned becomes
+frozensets and connectors.  A connected pattern is sought only inside
+the host component of its first branch set.  A packing that cannot fit
+the host by vertex and edge count returns before it indexes anything.
+Otherwise it shares one plan across all its streams, keeps its partial
 packings as mask tuples and recurses on a mask of the vertices still
 free.  It searches for a complete packing only: a level whose copies do
 not fit its free vertices and edges by count fails at once, and from the
@@ -25,6 +26,15 @@ first copy on it skips every model whose support contains the drop of a
 model whose residue already failed, since that leaves a subgraph of the
 failed residue, and every model whose support leaves too few free
 vertices for the copies still to come (int.bit_count needs Python 3.10).
+
+Fixed costs are paid once across calls.  A plan depends only on the
+pattern, its marks and which pattern vertices are rooted, and a host
+index only on the host graph; both inputs are immutable and hashable,
+so _plan and _host_index keep the last few of each in a bounded
+lru_cache and every search on the same pattern or host reuses them.  The
+memos hold derived indexes of immutable inputs, never an answer: every
+search still runs under its own deadline, so no cache can replay a
+stale or timed-out result.
 
 find_minor and find_marked_minor settle two kinds of absence before the
 whole-host search.  Both prune only what yields nothing: a model, a
@@ -76,6 +86,7 @@ the two graphs, so a bug in the search cannot hide behind itself.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -233,16 +244,17 @@ def _bits(mask: int) -> list[int]:
 
 
 class _Host:
-    """A host graph indexed once for the search: vertex ids in sorted
-    order become bit positions, so the smallest id of a set is the lowest
-    bit of its mask, and nbr[i] is the neighbourhood mask of bit i."""
+    """A host graph indexed for the search: vertex ids in sorted order
+    become bit positions, so the smallest id of a set is the lowest bit
+    of its mask, and nbr[i] is the neighbourhood mask of bit i.  Nothing
+    changes it after construction, so _host_index shares one per graph."""
 
     __slots__ = ("ids", "bit", "nbr")
 
     def __init__(self, g: Graph):
-        self.ids = sorted(g.vertices)
+        self.ids = tuple(sorted(g.vertices))
         self.bit = {v: i for i, v in enumerate(self.ids)}
-        self.nbr = [self.mask(g.neighbors(v)) for v in self.ids]
+        self.nbr = tuple(self.mask(g.neighbors(v)) for v in self.ids)
 
     def mask(self, vs) -> int:
         bit = self.bit
@@ -282,6 +294,10 @@ class _Host:
             comps.append(comp)
             mask &= ~comp
         return comps
+
+
+# the 2-6 packings of one dichotomy engine call share one graph's index
+_host_index = functools.lru_cache(maxsize=8)(_Host)
 
 
 def _connected_subsets(nbr: list[int], allowed: int, seeds, cap: int, ticker):
@@ -357,7 +373,7 @@ def _seed_plan(allowed: int, root: int | None, above: int):
 
 
 def _twin_predecessors(
-    h: Graph, order: list[int], h_marked: frozenset[int], roots: dict[int, int]
+    h: Graph, order: tuple[int, ...], h_marked: frozenset[int], rooted: frozenset[int]
 ) -> dict[int, int]:
     """Map each pattern vertex to the twin placed just before it.
 
@@ -376,7 +392,7 @@ def _twin_predecessors(
 
     classes: list[list[int]] = []
     for p in order:
-        if p in roots:
+        if p in rooted:
             continue
         for cls in classes:
             if all(twins(p, q) for q in cls):
@@ -387,36 +403,34 @@ def _twin_predecessors(
     return {cls[i]: cls[i - 1] for cls in classes for i in range(1, len(cls))}
 
 
-class _Plan:
-    """How a stream places the vertices of a pattern h.  It depends on h,
-    its marks and which pattern vertices are rooted, not on the host or
-    on the host vertices of the roots, so one plan serves every stream of
-    a packing, at every level and for every hub vertex.
+@functools.lru_cache(maxsize=256)
+def _plan(h: Graph, h_marked: frozenset[int], rooted: frozenset[int]):
+    """How a stream places the vertices of a pattern h, as (order, steps,
+    connected).  It depends on h, its marks and which pattern vertices
+    are rooted, not on the host or on the host vertices of the roots, so
+    one plan serves every stream of a packing, at every level and for
+    every hub vertex, and every later search of the same pattern.
 
     order: most constrained first, the rooted vertices, then by
     descending degree.  steps[i], for the vertex order[i]: the positions
     of its neighbours placed before it, the number placed after it,
     whether it is marked, and the position of its twin predecessor (or
-    None).  connected: whether h is connected.
+    None).  connected: whether h is connected.  All of it is tuples, so
+    no caller can change a memoised plan.
     """
-
-    __slots__ = ("order", "steps", "connected")
-
-    def __init__(self, h: Graph, h_marked: frozenset[int], rooted):
-        order = sorted(h.vertices, key=lambda p: (p not in rooted, -h.degree(p), p))
-        pos = {p: i for i, p in enumerate(order)}
-        twin_before = _twin_predecessors(h, order, h_marked, rooted)
-        self.order = order
-        self.steps = [
-            (
-                [pos[q] for q in h.neighbors(p) if pos[q] < i],
-                sum(1 for q in h.neighbors(p) if pos[q] > i),
-                p in h_marked,
-                pos[twin_before[p]] if p in twin_before else None,
-            )
-            for i, p in enumerate(order)
-        ]
-        self.connected = len(h.components()) == 1
+    order = tuple(sorted(h.vertices, key=lambda p: (p not in rooted, -h.degree(p), p)))
+    pos = {p: i for i, p in enumerate(order)}
+    twin_before = _twin_predecessors(h, order, h_marked, rooted)
+    steps = tuple(
+        (
+            tuple(pos[q] for q in h.neighbors(p) if pos[q] < i),
+            sum(1 for q in h.neighbors(p) if pos[q] > i),
+            p in h_marked,
+            pos[twin_before[p]] if p in twin_before else None,
+        )
+        for i, p in enumerate(order)
+    )
+    return order, steps, len(h.components()) == 1
 
 
 def _resolve_connectors(g: Graph, h: Graph, assignment: dict[int, frozenset[int]]):
@@ -438,7 +452,7 @@ def _resolve_connectors(g: Graph, h: Graph, assignment: dict[int, frozenset[int]
     return connectors
 
 
-def _model(g: Graph, h: Graph, host: _Host, plan: _Plan, roots: dict[int, int], masks):
+def _model(g: Graph, h: Graph, host: _Host, plan: tuple, roots: dict[int, int], masks):
     """The branch sets and connectors of a model that a stream yielded as
     masks in plan order.  A branch set is grown from its root's bit, or
     else its lowest bit, as the subset enumerator grew it.  The stream
@@ -447,7 +461,7 @@ def _model(g: Graph, h: Graph, host: _Host, plan: _Plan, roots: dict[int, int], 
     bit = host.bit
     bsets = {
         p: host.branch_set(m, bit[roots[p]] if p in roots else (m & -m).bit_length() - 1)
-        for p, m in zip(plan.order, masks)
+        for p, m in zip(plan[0], masks)
     }
     connectors = _resolve_connectors(g, h, bsets)
     assert connectors is not None, "a streamed model misses a pattern edge"
@@ -458,7 +472,7 @@ def _model_stream(
     g: Graph,
     h: Graph,
     *,
-    plan: _Plan,
+    plan: tuple,
     host: _Host,
     g_marked: frozenset[int] = frozenset(),
     roots: dict[int, int] | None = None,
@@ -479,7 +493,7 @@ def _model_stream(
     pattern has a connected support, so once the first branch set is
     placed the rest are sought only in its host component.
 
-    `plan` is the _Plan of h, built with h's marks and the pattern
+    `plan` is the _plan of h, built with h's marks and the pattern
     vertices that `roots` pins, and `host` the _Host index of g, so that
     a caller opening many streams builds each once.  A packing searches
     the subgraph on the bits of `free`, whose edge count it may pass as
@@ -504,12 +518,12 @@ def _model_stream(
             if time.monotonic() > deadline:
                 raise SearchTimeout
 
-    order, steps = plan.order, plan.steps
+    order, steps, connected = plan
     last = len(order) - 1
     root_bits = [host.bit[roots[p]] if p in roots else None for p in order]
     nbr = host.nbr
     marked = host.mask(v for v in g_marked if v in host.bit)
-    comps = host.components(free) if plan.connected else None
+    comps = host.components(free) if connected else None
     edge_budget = m_free - h.m
     placed = [0] * len(order)
 
@@ -573,7 +587,7 @@ def _planarity_refutes(
 
 def _blocks_refute(
     host: _Host,
-    plan: _Plan,
+    plan: tuple,
     g: Graph,
     h: Graph,
     g_marked: frozenset[int],
@@ -637,12 +651,12 @@ def _search(
     refute h.  One deadline bounds the block searches and the stream,
     and one plan serves them all."""
     deadline = deadline_after(timeout)
-    host = _Host(g)
+    host = _host_index(g)
     roots = roots or {}
     try:
         if _planarity_refutes(g, h, g_marked, h_marked):
             return MinorResult("absent")
-        plan = _Plan(h, h_marked, roots)
+        plan = _plan(h, h_marked, frozenset(roots))
         if _blocks_refute(host, plan, g, h, g_marked, roots, deadline):
             return MinorResult("absent")
         for masks in _model_stream(
@@ -718,9 +732,9 @@ def _pack(
 
     - Count.  k more copies sharing `shared` vertices (none, or z) and no
       edge need k*(|V(h)| - shared) + shared host vertices and k*|E(h)|
-      host edges; a level where they do not fit fails at once, and when
-      the n copies do not fit g, which does not depend on z, no hub
-      vertex is tried.
+      host edges; a level where they do not fit fails at once.  When the
+      n copies do not fit g, which depends neither on z nor on any index,
+      the call returns before it sets a deadline, indexes g or plans h.
     - Room.  A level that needs k copies streams only models whose
       support is at most |free| - (k - 1)*(|V(h)| - shared), since a
       larger one leaves too few vertices for the other k - 1 copies.
@@ -736,20 +750,25 @@ def _pack(
 
     One plan serves every stream, at every level and for every hub
     vertex, and each level counts the edges of its free mask once, for
-    its own count and its stream's.  Partial packings hold the streamed
-    mask tuples; only the packing returned is built into models.
+    its own count and its stream's.  The plan and the host index come
+    from the memos of the module docstring, so the packings of one
+    engine call on one host share them.  Partial packings hold the
+    streamed mask tuples; only the packing returned is built into models.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    deadline = deadline_after(timeout)
     shared = 0 if hub is None else 1
-    host = _Host(g)
-    plan = _Plan(h, h_marked, () if hub is None else (hub,))
-    best: list[tuple[int, ...]] = []
-    best_hub: int | None = None
 
     def fits(k: int, size: int, edges: int) -> bool:
         return k * (h.n - shared) + shared <= size and k * h.m <= edges
+
+    if not fits(n, g.n, g.m):
+        return PackResult([], complete=False, exhausted=True, hub_vertex=None)
+    deadline = deadline_after(timeout)
+    host = _host_index(g)
+    plan = _plan(h, frozenset(h_marked), frozenset(() if hub is None else (hub,)))
+    best: list[tuple[int, ...]] = []
+    best_hub: int | None = None
 
     def recurse(k: int, free: int, z: int | None, acc: list[tuple[int, ...]]):
         nonlocal best, best_hub
@@ -783,8 +802,6 @@ def _pack(
         models = [MinorModel(*_model(g, h, host, plan, roots, masks)) for masks in packing]
         return PackResult(models, complete=complete, exhausted=exhausted, hub_vertex=z)
 
-    if not fits(n, g.n, g.m):
-        return result([], None, False, True)
     hubs: list[int | None] = [None]
     if hub is not None:
         hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))

@@ -19,6 +19,7 @@ verify_catalog.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .core import Graph, MarkedGraph, complete_bipartite, complete_graph, cone
@@ -244,8 +245,11 @@ def aux_pattern(kind: str, n: int) -> Graph:
     return _glue(aux_block(kind)[0], aux_copies(kind, n))
 
 
+@functools.lru_cache(maxsize=64)
 def build_pattern(pid: PatternId) -> Graph | MarkedGraph:
-    """Materialize a PatternId."""
+    """Materialize a PatternId.  A PatternId is frozen and the graphs it
+    names are immutable, so the last patterns built are kept and a
+    caller that verifies every witness it returns builds each once."""
     if pid.family == "sigma":
         return sigma(pid.index, pid.level)
     if pid.family == "theta":

@@ -2,14 +2,17 @@
 
 These run the slow, obviously-correct route so the fast implementations
 have something honest to disagree with.  Nothing here imports the
-library's search code except three oracles that pin a pruned search to
+library's search code except the oracles that pin a pruned search to
 the plain one it replaced: pack_by_stream, which drives the library's
 model stream to check the packer's prunes, not the stream itself;
 kuratowski_by_ddmin, which runs the plain witness ddmin on the library's
 LR test, block split and witness decoder, to check that settling trials
-without an LR run changes no witness; and core_by_exact_genus, which
-asks the library's genus search for each trial's exact genus, to check
-that decompose's yes/no trials keep the same core.
+without an LR run changes no witness; core_by_exact_genus, which asks
+the library's genus search for each trial's exact genus, to check that
+decompose's yes/no trials keep the same core; and k2n_by_all_pairs and
+two_connected_by_all_pairs, which run dichotomy's path families on every
+vertex pair, to check that skipping the pairs without room for n paths
+changes no witness or structure.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import functools
 import itertools
 import random
 
-from surfembed import embeddings, lr, minors
+from surfembed import dichotomy, embeddings, lr, minors
 from surfembed.core import Graph, blocks, norm_edge
 
 # pattern edges, per-role degree needs, and interchangeable role groups
@@ -498,7 +501,7 @@ def pack_by_stream(g: Graph, h: Graph, n: int, hub: int | None = None) -> minors
     """
     shared = 0 if hub is None else 1
     host = minors._Host(g)
-    plan = minors._Plan(h, frozenset(), () if hub is None else (hub,))
+    plan = minors._plan(h, frozenset(), frozenset(() if hub is None else (hub,)))
 
     def recurse(k: int, free: int, z: int | None, acc: list):
         if k == 0:
@@ -522,6 +525,40 @@ def pack_by_stream(g: Graph, h: Graph, n: int, hub: int | None = None) -> minors
         if got is not None:
             return minors.PackResult(got, complete=True, exhausted=True, hub_vertex=z)
     return minors.PackResult([], complete=False, exhausted=True)
+
+
+def k2n_by_all_pairs(g: Graph, n: int) -> minors.MinorModel | None:
+    """The K_{2,n} witness loop over every vertex pair in combinations
+    order, kept as the reference for dichotomy._k2n_witness: the first
+    pair with n internally disjoint paths with interiors gives the model."""
+    for x, y in itertools.combinations(g.sorted_vertices(), 2):
+        mids = dichotomy._through_paths(g, x, y)
+        if len(mids) < n:
+            continue
+        bsets = {0: frozenset({x}), 1: frozenset({y})}
+        conn = {}
+        for idx, p in enumerate(mids[:n]):
+            bsets[2 + idx] = frozenset(p[1:-1])
+            conn[norm_edge(0, 2 + idx)] = norm_edge(p[0], p[1])
+            conn[norm_edge(1, 2 + idx)] = norm_edge(p[-2], p[-1])
+        return minors.MinorModel(bsets, conn)
+    return None
+
+
+def two_connected_by_all_pairs(g: Graph, u: frozenset, n: int):
+    """dichotomy.two_connected_structures with its double-star loop over
+    every vertex pair, kept as the reference for the loop that skips the
+    pairs without room; the fan and ladder stages are the library's."""
+    for x, y in itertools.combinations(g.sorted_vertices(), 2):
+        found = dichotomy._double_star_at(g, u, x, y, n)
+        if found is not None:
+            return found
+    for d in sorted(g.vertices, key=lambda v: (-g.degree(v), v)):
+        if g.degree(d) >= n:
+            found = dichotomy._fan_at(g, u, d, n)
+            if found is not None:
+                return found
+    return dichotomy._ladder_search(g, u, n)
 
 
 def core_by_exact_genus(g: Graph, gamma: int) -> Graph:

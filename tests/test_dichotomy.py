@@ -12,7 +12,13 @@ import pytest
 
 import surfembed
 
-from oracles import connected_graphs_on, random_graph, random_tree
+from oracles import (
+    connected_graphs_on,
+    k2n_by_all_pairs,
+    random_graph,
+    random_tree,
+    two_connected_by_all_pairs,
+)
 from surfembed.core import (
     Graph,
     MarkedGraph,
@@ -25,6 +31,7 @@ from surfembed.core import (
 )
 from surfembed.dichotomy import (
     CombStructure,
+    _k2n_witness,
     _outerplanar,
     _through_paths,
     almost_outerplanar_dichotomy,
@@ -497,6 +504,36 @@ def test_verify_comb_reports_empty_path(kind):
     ok, errs = verify_comb(g, g.vertices, s)
     assert not ok
     assert "path 0 is empty" in errs
+
+
+def test_verify_comb_wants_cycle_spines():
+    # _ladder_search and _fan_at take their spines from cycles; the path
+    # 0-1-2-3 has none, and K4 less the edge 1-3 closes no cycle 1-2-3
+    path = path_graph(4)
+    ladder = CombStructure("ladder", PathSystem(((0, 1, 2, 3),), frozenset()),
+                           ((0,), (3,)), (), 1)
+    fan = CombStructure("fan", PathSystem(((0, 1),), frozenset()), ((1, 2),), (0,), 1)
+    assert verify_comb(path, path.vertices, ladder) == (
+        False, ["a spine is not a cycle of the graph"])
+    assert verify_comb(path, path.vertices, fan) == (False, ["spine is not a cycle of the graph"])
+    open_fan = CombStructure("fan", PathSystem(((0, 1),), frozenset()), ((1, 2, 3),), (0,), 1)
+    k4 = complete_graph(4)
+    assert verify_comb(k4, k4.vertices, open_fan) == (True, [])
+    chord = k4.remove_edges([(1, 3)])
+    assert verify_comb(chord, chord.vertices, open_fan) == (
+        False, ["spine is not a cycle of the graph"])
+
+
+def test_pair_filter_keeps_the_first_pair():
+    # pairs without n neighbours besides each other run no flow; the
+    # first pair with n paths, and so every witness and structure, stays
+    for k in range(1, 7):
+        for g in connected_graphs_on(k):
+            for n in (2, 3):
+                assert _k2n_witness(g, n) == k2n_by_all_pairs(g, n), sorted(g.edges)
+            u = g.vertices
+            assert two_connected_structures(g, u, 2) == two_connected_by_all_pairs(g, u, 2), (
+                sorted(g.edges))
 
 
 def test_verify_comb_reports_dominating_vertex_off_the_graph():

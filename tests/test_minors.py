@@ -250,13 +250,75 @@ def test_pack_level_that_fails_the_count_opens_no_stream(monkeypatch):
 
 
 def test_pack_builds_one_plan(monkeypatch):
-    # the plan depends on the pattern and its hub, not on the free mask or
-    # the hub vertex, so every stream of every hub vertex shares one
+    # the plan depends on the pattern, its marks and its rooted vertices,
+    # not on the host, the free mask or the hub vertex, so every stream of
+    # every hub vertex shares one, and so does a later identical packing
+    minors._plan.cache_clear()
     calls = _count_calls(monkeypatch, "_twin_predecessors")
     streams = _count_calls(monkeypatch, "_model_stream")
-    res = pack_bouquet(complete_bipartite(3, 3), complete_graph(3), 0, 2)
+    k33, k3 = complete_bipartite(3, 3), complete_graph(3)
+    res = pack_bouquet(k33, k3, 0, 2)
     assert not res.complete and res.exhausted
     assert streams[0] > 1 and calls[0] == 1
+    assert pack_bouquet(k33, k3, 0, 2) == res and calls[0] == 1
+    # another mark set, or another rooted set, is another plan
+    pack_disjoint(k33, k3, 2, h_marked=frozenset({0}))
+    assert calls[0] == 2
+    pack_disjoint(k33, k3, 2)
+    assert calls[0] == 3
+
+
+def test_pack_that_fails_the_count_indexes_nothing(monkeypatch):
+    # two K4 copies need 8 vertices, or 7 through a hub; K6 has 6
+    minors._host_index.cache_clear()
+    minors._plan.cache_clear()
+    builds = [0]
+    init = minors._Host.__init__
+
+    def counted(self, g):
+        builds[0] += 1
+        init(self, g)
+
+    monkeypatch.setattr(minors._Host, "__init__", counted)
+    plans = _count_calls(monkeypatch, "_twin_predecessors")
+    k6, k4 = complete_graph(6), complete_graph(4)
+    for res in (pack_disjoint(k6, k4, 2), pack_bouquet(k6, k4, 0, 2)):
+        assert res.models == [] and not res.complete
+        assert res.exhausted and res.hub_vertex is None
+    assert builds[0] == 0 and plans[0] == 0
+    # two triangles fit by count, so that packing indexes K6 and plans K3
+    assert pack_disjoint(k6, complete_graph(3), 2).complete
+    assert builds[0] == 1 and plans[0] == 1
+
+
+def test_memos_replay_nothing(monkeypatch):
+    # a timed-out search leaves its plan and host index behind; the same
+    # call with a working clock must answer as a fresh process does
+    k3, k33 = complete_graph(3), complete_bipartite(3, 3)
+    host = sigma(3, 3)
+
+    def ask():
+        return pack_disjoint(host, k3, 4, timeout=60), find_minor(PETERSEN, k33, timeout=60)
+
+    with monkeypatch.context() as m:
+        m.setattr(minors, "time", types.SimpleNamespace(monotonic=lambda: math.inf))
+        cut, lost = ask()
+    assert not cut.exhausted and lost.status == "timeout"
+    warm = ask()
+    minors._plan.cache_clear()
+    minors._host_index.cache_clear()
+    assert warm == ask()
+    assert warm[0].exhausted and warm[1].found
+
+    # one pattern graph under two mark sets: two plans, two answers
+    g = MarkedGraph(cycle_graph(4), frozenset({0}))
+    edge = Graph(edges=[(0, 1)])
+    one, both = MarkedGraph(edge, frozenset({0})), MarkedGraph(edge, frozenset({0, 1}))
+    warm = find_marked_minor(g, one), find_marked_minor(g, both)
+    assert warm[0].found and warm[1].status == "absent"
+    minors._plan.cache_clear()
+    minors._host_index.cache_clear()
+    assert warm == (find_marked_minor(g, one), find_marked_minor(g, both))
 
 
 def test_pack_builds_only_the_models_it_returns(monkeypatch):
@@ -282,7 +344,8 @@ def test_pack_builds_only_the_models_it_returns(monkeypatch):
 
 def test_model_stream_one_model_per_twin_orbit():
     k5, k33 = complete_graph(5), complete_bipartite(3, 3)
-    plan5, plan33 = minors._Plan(k5, frozenset(), {}), minors._Plan(k33, frozenset(), {})
+    none = frozenset()
+    plan5, plan33 = minors._plan(k5, none, none), minors._plan(k33, none, none)
     host5, host33 = minors._Host(k5), minors._Host(k33)
     assert sum(1 for _ in minors._model_stream(k5, k5, plan=plan5, host=host5)) == 1
     # the swap of the two sides is not a twin swap
@@ -637,7 +700,7 @@ def test_block_refutation_matches_exhaustive(rng, monkeypatch):
         for h in patterns:
             pinned = rng.sample(sorted(h.graph.vertices), rng.randint(0, 2))
             roots = {p: rng.choice(sorted(g.vertices)) for p in pinned} or None
-            index, plan = minors._Host(g), minors._Plan(h.graph, h.marked, roots or {})
+            index, plan = minors._Host(g), minors._plan(h.graph, h.marked, frozenset(roots or ()))
             first = next(stream(
                 g, h.graph, g_marked=host.marked, roots=roots, host=index, plan=plan
             ), None)
