@@ -43,10 +43,14 @@ makes at most one LR run in the test's boolean mode, which stops after the
 testing search, and only for a graph with seven or more such vertices; it
 returns a bool and nothing else.  planarity() gives evidence either way: a
 planar graph gets the rotation system from one LR run in embedding mode,
-re-traced to genus 0, and a non-planar graph is cut down to one non-planar
-block and then by chunked edge deletion (ddmin) on integer bit masks to a
-K5/K33 subdivision witness, re-verified edge by edge.  min_genus settles its
-planar blocks with the same embedding-mode run.
+re-traced to genus 0, and a non-planar graph a K5/K33 subdivision witness
+read off the reduction, which knows the path of the input that each edge it
+keeps stands for.  A graph with at most six such vertices once its pendant
+edges are peeled is reduced once, with no LR run; any other is cut down to
+one non-planar block, which is shrunk by edge deletion on integer bit masks
+until a trial that stays non-planar has at most six.  Every witness is
+re-verified edge by edge.  min_genus settles its planar blocks with the same
+embedding-mode run.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Literal, Sequence
 
 from . import lr
-from .core import Edge, Graph, SearchTimeout, blocks, deadline_after, norm_edge
+from .core import Edge, Graph, SearchTimeout, blocks, deadline_after
 
 # ---------------------------------------------------------------------------
 # rotation systems and faces
@@ -567,68 +571,23 @@ class PlanarityResult:
     witness: KuratowskiWitness | None = None
 
 
-def _decode_kuratowski(edges: list[Edge]) -> KuratowskiWitness | None:
-    """Read a K5/K33 subdivision off an edge set, or None when the degrees
-    do not have that shape.  The result still has to be verified."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    branch = sorted(v for v, ns in adj.items() if len(ns) != 2)
-    degs = [len(adj[b]) for b in branch]
-    if degs != [4] * 5 and degs != [3] * 6:
-        return None
-    paths: list[tuple[int, ...]] = []
-    seen_edges: set[Edge] = set()
-    for b in branch:
-        for nb in adj[b]:
-            if norm_edge(b, nb) in seen_edges:
-                continue
-            path = [b, nb]
-            seen_edges.add(norm_edge(b, nb))
-            while len(adj[path[-1]]) == 2:
-                x, y = adj[path[-1]]
-                nxt = y if x == path[-2] else x
-                seen_edges.add(norm_edge(path[-1], nxt))
-                path.append(nxt)
-            paths.append(tuple(path))
-    if len(branch) == 5:
-        kind: Literal["K5", "K33"] = "K5"
-        order = branch
-    else:
-        kind = "K33"
-        # bipartition: vertices joined by a path are on opposite sides
-        across = {p[-1] for p in paths if p[0] == branch[0]}
-        side_a = sorted(set(branch) - across)
-        side_b = sorted(across)
-        if len(side_a) != 3 or len(side_b) != 3:
-            return None
-        order = side_a + side_b
-    pos = {v: i for i, v in enumerate(order)}
-    tagged = []
-    for p in paths:
-        i, j = pos[p[0]], pos[p[-1]]
-        if i > j:
-            i, j = j, i
-            p = p[::-1]
-        tagged.append(((i, j), p))
-    tagged.sort()
-    return KuratowskiWitness(kind=kind, branch_vertices=tuple(order), paths=tuple(tagged))
-
-
-def _settled(m: int, deg: list[int], reduced: Callable[[], bool]) -> bool | None:
+def _settled(
+    m: int, deg: list[int], reduced: Callable[[], bool | KuratowskiWitness]
+) -> bool | KuratowskiWitness | None:
     """Planarity of a simple graph with m edges and vertex degrees deg,
     settled without an LR run, or None.
 
     Counting first.  A non-planar graph holds a K5 subdivision, with 10
     edges and 5 vertices of degree >= 4, or a K33 subdivision, with 9
-    edges and 6 vertices of degree >= 3.  A planar graph on n >= 3
-    vertices of positive degree has at most 3n - 6 edges.  A graph that
-    counting leaves open with at most six vertices of degree >= 3 is
-    decided by reduced(), the topological reduction of _reduced_planar
-    on its adjacency; with seven or more it stays open.  That count comes
-    from the same degrees, so a graph with many branch vertices, such as
-    a grid, pays nothing for the rule.
+    edges and 6 vertices of degree >= 3.  A graph that counting leaves
+    open with at most six vertices of degree >= 3 is decided by reduced(),
+    the topological reduction of _reduced_planar on its adjacency, whose
+    answer is returned as it is: True, or False or a witness.  With seven
+    or more it is non-planar if it has more than 3n - 6 edges, n its
+    vertices of positive degree, as every planar graph on n >= 3 vertices
+    has at most that many; otherwise it stays open.  The vertex count
+    comes from the same degrees, so a graph with many branch vertices,
+    such as a grid, pays nothing for the reduction.
     """
     if m < 9:
         return True
@@ -636,15 +595,36 @@ def _settled(m: int, deg: list[int], reduced: Callable[[], bool]) -> bool | None
     three = n - deg.count(1) - deg.count(2)
     if three < 6 and three - deg.count(3) < 5:
         return True
-    if m > 3 * n - 6:
-        return False
-    return reduced() if three <= 6 else None
+    if three <= 6:
+        return reduced()
+    return False if m > 3 * n - 6 else None
 
 
-def _reduced_planar(adj: list[int], deg: list[int]) -> bool:
+def _route(via: dict[Edge, int], u: int, v: int) -> list[int]:
+    """The path of the input from u to v that the edge u-v of a reduced
+    graph stands for, where via maps each edge a suppression made to the
+    vertex it suppressed."""
+    out = [u]
+    todo = [v]
+    while todo:
+        w = todo[-1]
+        x = via.get((out[-1], w) if out[-1] < w else (w, out[-1]))
+        if x is None:
+            out.append(todo.pop())
+        else:
+            todo.append(x)
+    return out
+
+
+def _reduced_planar(
+    adj: list[int], deg: list[int], labels: Sequence[int] | None = None
+) -> bool | KuratowskiWitness:
     """Planarity of a simple graph with at most six vertices of degree
     >= 3, by topological reduction on bit masks.  adj[v] is the bit mask
-    of v's neighbours and deg[v] its degree; neither is changed.
+    of v's neighbours and deg[v] its degree; neither is changed.  Returns
+    True if the graph is planar.  Otherwise it returns False, or, given
+    labels (labels[v] the vertex at position v), the K5 or K33 subdivision
+    the reduction found, on those labels.
 
     Vertices of degree <= 1 are deleted and vertices of degree 2
     suppressed, and a suppression that would double an edge drops the
@@ -663,8 +643,18 @@ def _reduced_planar(adj: list[int], deg: list[int]) -> bool:
     are its ends.  Put a, b, c on one side, and x with the other two
     branch vertices d, e on the other.  Every cross edge is then an edge
     at x or a K5 edge other than ab.
+
+    Each edge that a suppression of x adds stands for the path of the
+    input through x, and each edge it joins stands for its own path, so
+    the edges left stand for paths of the input with disjoint interiors.
+    A copy that is dropped takes its path's interior with it.  The
+    witness is the five vertices left, with all ten edges (K5), or the
+    six, with the nine cross edges of the split found (K33), each edge
+    replaced by its path; its vertices are in increasing position, and a
+    K33's first part holds the lowest.  Nothing is decoded.
     """
     nbr = adj.copy()
+    via: dict[Edge, int] = {}  # edge made by a suppression -> the vertex suppressed
     low = [v for v, d in enumerate(deg) if 0 < d < 3]
     while low:
         x = low.pop()
@@ -677,20 +667,38 @@ def _reduced_planar(adj: list[int], deg: list[int]) -> bool:
         low.append(a)
         if c != a:  # suppress x; an edge already there absorbs the new one
             nbr[c] ^= 1 << x
-            nbr[a] |= 1 << c
-            nbr[c] |= 1 << a
             low.append(c)
+            if not nbr[a] >> c & 1:
+                nbr[a] |= 1 << c
+                nbr[c] |= 1 << a
+                via[c, a] = x
     left = [v for v, mask in enumerate(nbr) if mask]
-    if len(left) == 5:
-        return sum(nbr[v].bit_count() for v in left) < 20
-    if len(left) == 6:
+    if len(left) == 5 and sum(nbr[v].bit_count() for v in left) == 20:
+        kind: Literal["K5", "K33"] = "K5"
+        order = left
+    elif len(left) == 6:
         everyone = sum(1 << v for v in left)
         first = left[0]
         for a, b in itertools.combinations(left[1:], 2):
             across = everyone ^ 1 << first ^ 1 << a ^ 1 << b
             if nbr[first] & nbr[a] & nbr[b] & across == across:
-                return False
-    return True
+                break
+        else:
+            return True
+        kind = "K33"
+        order = [first, a, b] + [v for v in left if across >> v & 1]
+    else:
+        return True
+    if labels is None:
+        return False
+    return KuratowskiWitness(
+        kind=kind,
+        branch_vertices=tuple(labels[v] for v in order),
+        paths=tuple(
+            ((i, j), tuple(labels[v] for v in _route(via, order[i], order[j])))
+            for i, j in pattern_edges_of(kind)
+        ),
+    )
 
 
 def _masks(pos: dict[int, int], edges: Iterable[Edge]) -> list[int]:
@@ -714,20 +722,25 @@ def _settled_graph(g: Graph) -> bool | None:
     return _settled(g.m, deg, reduced)
 
 
-def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
-    """A genus-0 rotation of g from at most one LR run, or None if g is not
-    planar.  Paths and cycles need no run, and neither does a graph that
-    _settled finds non-planar: one denser than 3n - 6, or one with at most
-    six vertices of degree >= 3 that reduces to a K5 or K33.  A planar
-    verdict still takes the run, for the rotation."""
-    if all(g.degree(v) <= 2 for v in g.vertices):  # rotations are forced
+def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
+    """A genus-0 rotation of g from one LR run in embedding mode, or None
+    if g is not planar.  Paths and cycles need no run: their rotations are
+    forced."""
+    if all(g.degree(v) <= 2 for v in g.vertices):
         return {v: g.neighbors(v) for v in g.vertices}
-    if _settled_graph(g) is False:
-        return None
     rot = lr.lr_planarity(g.edges, embed=True)
     if rot is None:
         return None
     return {v: rot.get(v, ()) for v in g.vertices}
+
+
+def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
+    """A genus-0 rotation of g from at most one LR run, or None if g is not
+    planar.  A graph that _settled finds non-planar needs no run: one
+    denser than 3n - 6, or one with at most six vertices of degree >= 3
+    that reduces to a K5 or K33.  A planar verdict still takes the run, for
+    the rotation."""
+    return None if _settled_graph(g) is False else _lr_rotation(g)
 
 
 def is_planar(g: Graph) -> bool:
@@ -742,13 +755,13 @@ def is_planar(g: Graph) -> bool:
 
 
 def _peeled(
-    edges: list[Edge], adj: list[int]
-) -> tuple[list[Edge], bool | None, list[int]]:
-    """Peel pendant edges off edges, a graph on 0..k-1 with neighbour
-    masks adj, until none is left; adj is peeled in place.  Returns the
-    rest in its order, its planarity as _settled gives it or None, and its
-    degrees.  An edge at a vertex of degree 1 lies in no Kuratowski
-    subgraph."""
+    adj: list[int], labels: Sequence[int]
+) -> tuple[bool | KuratowskiWitness | None, list[int]]:
+    """Peel pendant edges off the graph on 0..k-1 with neighbour masks adj
+    until none is left; adj is peeled in place.  Returns the planarity of
+    the rest as _settled gives it, with the reduction's witness, on labels,
+    in place of False, and the rest's degrees.  An edge at a vertex of
+    degree 1 lies in no Kuratowski subgraph."""
     deg = list(map(int.bit_count, adj))
     if 1 in deg:
         leaves = [v for v, d in enumerate(deg) if d == 1]
@@ -762,44 +775,41 @@ def _peeled(
             deg[w] -= 1
             if deg[w] == 1:
                 leaves.append(w)
-        edges = [e for e in edges if adj[e[0]] and adj[e[1]]]
-    return edges, _settled(len(edges), deg, lambda: _reduced_planar(adj, deg)), deg
+    return _settled(sum(deg) // 2, deg, lambda: _reduced_planar(adj, deg, labels)), deg
 
 
-def _nonplanar_block(g: Graph) -> tuple[list[int], list[Edge], list[int]]:
-    """One non-planar block of non-planar g: its vertices in increasing
-    order, its edges in sorted order with each vertex replaced by its
-    position in that list, and their neighbour masks.  Planarity is
-    additive over blocks, so there is one.  A block denser than 3n - 6 is
-    taken at once.  Otherwise the blocks that _settled does not find
-    planar are taken smallest first; each is settled by _settled where it
-    can be and by an LR run where it cannot, and the last one left needs
-    neither.  Blocks that the reduction finds non-planar keep their place
-    in that order, so the block is the one that counting and LR runs alone
-    would give."""
+def _nonplanar_block(
+    g: Graph,
+) -> KuratowskiWitness | tuple[list[int], list[Edge], list[int], list[int]]:
+    """A witness in non-planar g from a block the reduction decides, or
+    else one non-planar block of g: its vertices in increasing order, its
+    pendant-free edges in sorted order with each vertex replaced by its
+    position in that list, and their neighbour masks and degrees.
+    Planarity is additive over blocks, so there is one.  A block with at
+    most six vertices of degree >= 3 once its pendant edges are peeled is
+    decided by the reduction, which gives the witness of the first such
+    block found non-planar at once.  A block denser than 3n - 6 is taken
+    at once.  Otherwise the blocks left open are taken smallest first;
+    each gets an LR run, and the last one left needs none."""
     open_blocks = []
     for be in blocks(g).blocks:
         labels = sorted({v for e in be for v in e})
         pos = dict(zip(labels, range(len(labels))))
-        es = [(pos[u], pos[v]) for u, v in sorted(be)]
         adj = _masks(pos, be)
-        es, known, deg = _peeled(es, adj)
-        if known is False and len(es) > 3 * (len(deg) - deg.count(0)) - 6:
-            return labels, es, adj
-        if known is not True:
-            open_blocks.append((len(es), known, labels, es, adj))
-    open_blocks.sort(key=lambda b: b[0])
-    for _, known, labels, es, adj in open_blocks[:-1]:
-        if known is False or known is None and lr.lr_planarity(es) is None:
-            return labels, es, adj
-    return open_blocks[-1][2:]
-
-
-def _as_witness(g: Graph, edges: list[Edge]) -> KuratowskiWitness | None:
-    """The K5/K33 subdivision formed by edges, if they decode to one that
-    verifies in g; None otherwise."""
-    w = _decode_kuratowski(edges)
-    return w if w is not None and not verify_kuratowski(g, w) else None
+        known, deg = _peeled(adj, labels)
+        if known is True:
+            continue
+        if isinstance(known, KuratowskiWitness):
+            return known
+        es = sorted((pos[u], pos[v]) for u, v in be if adj[pos[u]] >> pos[v] & 1)
+        if known is False:
+            return labels, es, adj, deg
+        open_blocks.append((labels, es, adj, deg))
+    open_blocks.sort(key=lambda b: len(b[1]))
+    for block in open_blocks[:-1]:
+        if lr.lr_planarity(block[1]) is None:
+            return block
+    return open_blocks[-1]
 
 
 def _chain(adj: list[int], e: Edge) -> list[Edge]:
@@ -816,81 +826,121 @@ def _chain(adj: list[int], e: Edge) -> list[Edge]:
     return out
 
 
+# the most vertices of degree >= 3 from which one edge deletion can leave
+# six: the two ends of the edge, or of the path it lies on, are the only
+# vertices that lose a degree (see _kuratowski_witness)
+_SINGLE_EDGES = 8
+
+
 def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
-    """A K5/K33 subdivision in non-planar g, verified by verify_kuratowski.
+    """A K5/K33 subdivision in non-planar g, read off the topological
+    reduction of a non-planar subgraph with at most six vertices of degree
+    >= 3 (branch vertices).
 
-    Chunked deletion (ddmin) on one non-planar block, relabelled once to
-    0..k-1: chunks of edges that halve in size are deleted while the rest
-    stays non-planar.  Each trial takes the neighbour masks of the current
-    edges, clears the chunk's edges, peels pendant edges and asks _settled
-    before an LR run.  _settled decides every trial with at most six
-    vertices of degree >= 3, and each verdict is exact, so the deletions,
-    and the witness, are those that an LR run on every trial would give.
-    An edge whose deletion leaves a planar graph is needed in every
-    non-planar subgraph of the current one, so after the pass with single
-    edges the rest is a minimal non-planar subgraph: a Kuratowski
-    subdivision.  Deleting any edge of a path through degree-2 vertices
-    peels the whole path, so once one of its edges is needed the
-    single-edge pass skips the rest.  The search stops as soon as the rest
-    has the degrees of one (five of degree 4, or six of degree 3, and the
-    rest 2) and, mapped back to the labels of g, decodes to a witness that
-    verifies.
+    One non-planar block, relabelled once to 0..k-1, is shrunk by edge
+    deletion while the rest stays non-planar.  Each trial takes the
+    neighbour masks of the current edges, clears the edges it deletes,
+    peels pendant edges and asks _settled before an LR run.  A trial with
+    at most six branch vertices is decided by the reduction, and when it
+    is non-planar the reduction's witness ends the search.  Every verdict
+    is exact, so the rest stays non-planar, and a minimal non-planar
+    subgraph is a Kuratowski subdivision, with at most six branch
+    vertices: the search ends at the latest there.
+
+    With more than _SINGLE_EDGES branch vertices, chunks of edges that
+    halve in size, down to single edges, are deleted (ddmin; Zeller &
+    Hildebrandt, IEEE TSE 2002).  An edge whose deletion leaves a planar
+    graph is needed in every non-planar subgraph of the current one, and
+    deleting any edge of a path through degree-2 vertices peels the whole
+    path, so once one of its edges is needed no later trial deletes the
+    rest.  From _SINGLE_EDGES branch vertices down, single edges are
+    tried, those with the most ends of degree 3 first, in a new order
+    after each deletion.  Each such end leaves the branch vertices, so
+    with seven or eight left the first trials can reach six, where the
+    reduction decides them with no LR run and a non-planar one ends the
+    search; on so few branch vertices most larger chunks leave a planar
+    rest.
     """
-    labels, cur, cur_adj = _nonplanar_block(g)
-    k = len(labels)
+    found = _nonplanar_block(g)
+    if isinstance(found, KuratowskiWitness):
+        return found
+    labels, cur, cur_adj, deg = found
 
-    def witness(edges: list[Edge], deg: list[int]) -> KuratowskiWitness | None:
-        rest = deg.count(2) + deg.count(0)
-        if deg.count(4) == 5 and rest == k - 5 or deg.count(3) == 6 and rest == k - 6:
-            return _as_witness(g, [(labels[u], labels[v]) for u, v in edges])
-        return None
+    def trial(
+        drop: list[Edge],
+    ) -> tuple[bool | KuratowskiWitness, list[Edge], list[int], list[int]]:
+        adj = cur_adj.copy()
+        for u, v in drop:
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        known, deg = _peeled(adj, labels)
+        rest = [e for e in cur if adj[e[0]] >> e[1] & 1]
+        if known is None:
+            known = lr.lr_planarity(rest) is not None
+        return known, rest, adj, deg
 
-    # cur is tried here and after each deletion, the only times it changes
-    w = witness(cur, list(map(int.bit_count, cur_adj)))
-    if w is not None:
-        return w
+    def branch(deg: list[int]) -> int:
+        return len(deg) - deg.count(0) - deg.count(2)
+
+    needed: set[Edge] = set()
     size = len(cur)
-    needed: set[Edge] = set()  # filled in the single-edge pass only
-    while size > 1:
+    while size > 1 and branch(deg) > _SINGLE_EDGES:
         size //= 2
         i = 0  # cur[:i] has been tried in this pass and is kept
-        while i < len(cur):
+        while i < len(cur) and branch(deg) > _SINGLE_EDGES:
             if cur[i] in needed:
                 i += 1
                 continue
-            adj = cur_adj.copy()
-            for u, v in cur[i:i + size]:
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
-            trial, known, deg = _peeled(cur[:i] + cur[i + size:], adj)
-            if known is None:
-                known = lr.lr_planarity(trial) is not None
-            if known:
+            known, rest, adj, rest_deg = trial(cur[i:i + size])
+            if known is True:
                 if size == 1:
                     needed.update(_chain(cur_adj, cur[i]))
                 i += size
                 continue
-            alive = set(trial)
+            if known is not False:
+                return known
+            alive = set(rest)
             i = sum(e in alive for e in cur[:i])
-            cur, cur_adj = trial, adj
-            w = witness(cur, deg)
-            if w is not None:
-                return w
-    raise AssertionError("minimal non-planar subgraph is not a Kuratowski subdivision")
+            cur, cur_adj, deg = rest, adj, rest_deg
+    while True:
+        for e in sorted(cur, key=lambda e: (deg[e[0]] != 3) + (deg[e[1]] != 3)):
+            if e in needed:
+                continue
+            known, rest, adj, rest_deg = trial([e])
+            if known is True:
+                needed.update(_chain(cur_adj, e))
+                continue
+            if known is not False:
+                return known
+            cur, cur_adj, deg = rest, adj, rest_deg
+            break
+        else:
+            raise AssertionError("minimal non-planar subgraph is not a Kuratowski subdivision")
 
 
 def planarity(g: Graph) -> PlanarityResult:
     """Planarity with evidence either way, the certificate mode.
 
-    Planar input costs at most one LR run, whose embedding becomes a
-    rotation system that is re-traced to genus 0.  Non-planar input gets
-    a K5/K33 subdivision witness that is re-verified edge by edge.  Use
-    is_planar() when a bool is enough.
+    g is relabelled once in vertex order, its pendant edges are peeled,
+    and _settled is asked.  With at most six vertices of degree >= 3 left
+    the reduction decides g, and on non-planar g it gives the witness: one
+    reduction, no LR run.  Planar input costs at most one LR run, whose
+    embedding becomes a rotation system that is re-traced to genus 0.
+    Other non-planar input gets its witness from _kuratowski_witness.
+    Every witness is re-verified edge by edge.  Use is_planar() when a
+    bool is enough.
     """
-    rot = _planar_rotation(g)
-    if rot is not None:
-        rs = RotationSystem.from_dict(rot)
-        if genus_of_rotation(g, rs) != 0:
-            raise AssertionError("planar embedding did not trace to genus 0")
-        return PlanarityResult(planar=True, rotation=rs)
-    return PlanarityResult(planar=False, witness=_kuratowski_witness(g))
+    labels = sorted(g.vertices)
+    known, _ = _peeled(_masks(dict(zip(labels, range(g.n))), g.edges), labels)
+    if known is True or known is None:
+        rot = _lr_rotation(g)
+        if rot is not None:
+            rs = RotationSystem.from_dict(rot)
+            if genus_of_rotation(g, rs) != 0:
+                raise AssertionError("planar embedding did not trace to genus 0")
+            return PlanarityResult(planar=True, rotation=rs)
+    w = known if isinstance(known, KuratowskiWitness) else _kuratowski_witness(g)
+    bad = verify_kuratowski(g, w)
+    if bad:
+        raise AssertionError(f"Kuratowski witness does not verify: {bad}")
+    return PlanarityResult(planar=False, witness=w)

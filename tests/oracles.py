@@ -5,14 +5,12 @@ have something honest to disagree with.  Nothing here imports the
 library's search code except the oracles that pin a pruned search to
 the plain one it replaced: pack_by_stream, which drives the library's
 model stream to check the packer's prunes, not the stream itself;
-kuratowski_by_ddmin, which runs the plain witness ddmin on the library's
-LR test, block split and witness decoder, to check that settling trials
-without an LR run changes no witness; core_by_exact_genus, which asks
-the library's genus search for each trial's exact genus, to check that
-decompose's yes/no trials keep the same core; and k2n_by_all_pairs and
-two_connected_by_all_pairs, which run dichotomy's path families on every
-vertex pair, to check that skipping the pairs without room for n paths
-changes no witness or structure.
+core_by_exact_genus, which asks the library's genus search for each
+trial's exact genus, to check that decompose's yes/no trials keep the
+same core; and k2n_by_all_pairs and two_connected_by_all_pairs, which
+run dichotomy's path families on every vertex pair, to check that
+skipping the pairs without room for n paths changes no witness or
+structure.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import functools
 import itertools
 import random
 
-from surfembed import dichotomy, embeddings, lr, minors
-from surfembed.core import Graph, blocks, norm_edge
+from surfembed import dichotomy, embeddings, minors
+from surfembed.core import Graph, norm_edge
 
 # pattern edges, per-role degree needs, and interchangeable role groups
 K5_PATTERN = ([(i, j) for i in range(5) for j in range(i + 1, 5)],
@@ -573,110 +571,3 @@ def core_by_exact_genus(g: Graph, gamma: int) -> Graph:
             core = trial
     return core
 
-
-def _counted(edges: list) -> bool | None:
-    """Planarity by counting alone, or None: fewer than 9 edges, or too few
-    vertices of high degree for a K5 or K33 subdivision, means planar;
-    more than 3n - 6 edges means non-planar."""
-    if len(edges) < 9:
-        return True
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    three = sum(d >= 3 for d in deg.values())
-    four = sum(d >= 4 for d in deg.values())
-    if three < 6 and four < 5:
-        return True
-    if len(edges) > 3 * len(deg) - 6:
-        return False
-    return None
-
-
-def _pendant_free(edges: list) -> list:
-    """edges without the pendant edges peeled until none is left, in order."""
-    while True:
-        deg: dict[int, int] = {}
-        for u, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        kept = [e for e in edges if deg[e[0]] > 1 and deg[e[1]] > 1]
-        if len(kept) == len(edges):
-            return edges
-        edges = kept
-
-
-def _degree_two_path(edges: list, e: tuple) -> list:
-    """The edges of the maximal path through degree-2 vertices holding e."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    out = [e]
-    for prev, x in (e, e[::-1]):
-        while len(adj[x]) == 2:
-            a, b = adj[x]
-            prev, x = x, b if a == prev else a
-            f = norm_edge(prev, x)
-            if f == e:
-                break
-            out.append(f)
-    return out
-
-
-def kuratowski_by_ddmin(g: Graph) -> embeddings.KuratowskiWitness:
-    """The witness ddmin with an LR run for every trial that counting
-    cannot settle, on host labels and edge lists, kept as the reference
-    for planarity()'s witnesses.
-
-    The same block choice (a block denser than 3n - 6 at once, else the
-    blocks counting leaves open, smallest first, the last one unrun), the
-    same halving chunks, pendant peel, degree-2 path skip and stop at the
-    first rest that decodes to a verified witness.  Every trial verdict
-    is exact either way, so the witness must equal planarity(g).witness.
-    """
-    def as_witness(edges):
-        w = embeddings._decode_kuratowski(edges)
-        return w if w is not None and not embeddings.verify_kuratowski(g, w) else None
-
-    def planar(edges) -> bool:
-        known = _counted(edges)
-        return known if known is not None else lr.lr_planarity(edges) is not None
-
-    open_blocks = []
-    for be in blocks(g).blocks:
-        es = _pendant_free(sorted(be))
-        known = _counted(es)
-        if known is False:
-            cur = es
-            break
-        if known is None:
-            open_blocks.append(es)
-    else:
-        open_blocks.sort(key=len)
-        cur = next((es for es in open_blocks[:-1] if not planar(es)), open_blocks[-1])
-    size = len(cur)
-    needed: set = set()
-    while size > 1:
-        size //= 2
-        w = as_witness(cur)
-        if w is not None:
-            return w
-        i = 0
-        while i < len(cur):
-            if cur[i] in needed:
-                i += 1
-                continue
-            trial = _pendant_free(cur[:i] + cur[i + size:])
-            if planar(trial):
-                if size == 1:
-                    needed.update(_degree_two_path(cur, cur[i]))
-                i += size
-                continue
-            alive = set(trial)
-            i = sum(e in alive for e in cur[:i])
-            cur = trial
-            w = as_witness(cur)
-            if w is not None:
-                return w
-    raise AssertionError("minimal non-planar subgraph is not a Kuratowski subdivision")

@@ -9,7 +9,6 @@ import networkx as nx
 import pytest
 
 from oracles import (
-    kuratowski_by_ddmin,
     planar_by_subdivision,
     random_graph,
     search_block_by_lists,
@@ -535,7 +534,8 @@ def test_is_planar_on_small_graphs_needs_no_lr_run(graphs_le7, lr_runs):
 
 def test_atlas_witnesses_cost_few_lr_runs(graphs_le7, lr_runs):
     # all 237 non-planar atlas graphs: 920 LR runs with counting alone,
-    # 165 with the reduction
+    # 165 with the reduction, 87 with shrinking stopped at six branch
+    # vertices
     nonplanar = [g for g in graphs_le7 if not _nx_planar(g)]
     assert len(nonplanar) == 237
     for g in nonplanar:
@@ -545,7 +545,8 @@ def test_atlas_witnesses_cost_few_lr_runs(graphs_le7, lr_runs):
 
 def test_full_cone_planarity_costs_few_lr_runs(graphs_le7, lr_runs):
     # the 996 full cones of test_full_cone_witnesses_verify: 4 702 LR runs
-    # with counting alone, 1 493 with the reduction
+    # with counting alone, 1 493 with the reduction, 1 112 with shrinking
+    # stopped at six branch vertices
     cones = [cone(g, g.vertices)[0] for g in graphs_le7 if len(g.components()) == 1]
     assert len(cones) == 996
     for cg in cones:
@@ -553,18 +554,133 @@ def test_full_cone_planarity_costs_few_lr_runs(graphs_le7, lr_runs):
     assert lr_runs[0] <= 2000
 
 
-def test_witnesses_match_the_reference_ddmin(graphs_le7):
-    # every trial verdict is exact, so settling trials without an LR run
-    # must leave each witness as the plain ddmin finds it
+def test_witnesses_verify_within_few_trials(graphs_le7, monkeypatch):
+    # every witness on the atlas and its full cones verifies, and shrinking
+    # stops at the first non-planar trial with at most six branch
+    # vertices: 5 416 _peeled calls over these planarity() calls, where
+    # shrinking to a minimal subdivision took 15 508
+    trials = [0]
+    original = embeddings._peeled
+
+    def counted(adj, labels):
+        trials[0] += 1
+        return original(adj, labels)
+
+    monkeypatch.setattr(embeddings, "_peeled", counted)
     hosts = list(graphs_le7)
     hosts += [cone(g, g.vertices)[0] for g in graphs_le7 if len(g.components()) == 1]
-    compared = 0
+    verified = 0
     for g in hosts:
         res = planarity(g)
         if not res.planar:
-            assert res.witness == kuratowski_by_ddmin(g), sorted(g.edges)
-            compared += 1
-    assert compared == 237 + 756
+            assert verify_kuratowski(g, res.witness) == [], sorted(g.edges)
+            verified += 1
+    assert verified == 237 + 756
+    assert trials[0] <= 6000
+
+
+def _subdivided(g: Graph) -> tuple[Graph, list[int]]:
+    """g with every edge subdivided by a new vertex, and the new vertices."""
+    edges, mids = [], []
+    for mid, (u, v) in enumerate(sorted(g.edges), start=max(g.vertices) + 1):
+        edges += [(u, mid), (mid, v)]
+        mids.append(mid)
+    return Graph(edges=edges), mids
+
+
+def _with_trees(g: Graph, at: list[int]) -> Graph:
+    """g with a claw hung on each vertex of at by one of its leaves: a new
+    vertex of degree 3 that carries two leaves."""
+    edges = set(g.edges)
+    for k, v in enumerate(at):
+        hub = max(g.vertices) + 1 + 3 * k
+        edges |= {(v, hub), (hub, hub + 1), (hub, hub + 2)}
+    return Graph(edges=edges)
+
+
+@pytest.mark.parametrize("kind", ["K5", "K33"])
+def test_witness_follows_subdivided_edges_past_pendant_trees(kind):
+    # every edge subdivided, and a claw hung on every branch and every
+    # subdivision vertex: 30 vertices of degree >= 3 before the peel, the
+    # five or six branch vertices after it; each path is one subdivided
+    # edge
+    base = complete_graph(5) if kind == "K5" else complete_bipartite(3, 3)
+    sub, mids = _subdivided(base)
+    g = _with_trees(sub, sorted(base.vertices) + mids)
+    assert _branch_count(g) > 6
+    res = planarity(g)
+    assert not res.planar and verify_kuratowski(g, res.witness) == []
+    w = res.witness
+    assert w.kind == kind and sorted(w.branch_vertices) == sorted(base.vertices)
+    assert sorted(p[1] for _, p in w.paths) == mids
+
+
+def test_dropped_copy_stays_out_of_the_witness():
+    # x = 5 subdivides a second copy of the K5 edge 0-1: suppressing x
+    # would double 0-1, so that copy is dropped, and 5 with it
+    g = Graph(edges=complete_graph(5).edges | {(0, 5), (5, 1)})
+    w = planarity(g).witness
+    assert verify_kuratowski(g, w) == []
+    assert w.kind == "K5" and all(len(p) == 2 for _, p in w.paths)
+    # 0-1 replaced by two subdivided copies, 0-5-6-1 and 0-7-1: the first
+    # suppression makes the edge 0-1, the other copy is dropped
+    g = Graph(edges=(complete_graph(5).edges - {(0, 1)}) | {(0, 5), (5, 6), (6, 1), (0, 7), (7, 1)})
+    w = planarity(g).witness
+    assert verify_kuratowski(g, w) == []
+    used = {v for _, p in w.paths for v in p}
+    assert w.path_dict()[0, 1] in ((0, 5, 6, 1), (0, 7, 1))
+    assert used & {5, 6, 7} in ({5, 6}, {7})
+
+
+def test_k5_with_a_sixth_vertex_gives_a_k33():
+    # six vertices of minimum degree 3 that hold a K5 or a K5 subdivision:
+    # nothing is reduced, and the split into 3 + 3 gives a K33
+    k5 = complete_graph(5).edges
+    for g in (Graph(edges=k5 | {(0, 5), (1, 5), (2, 5)}),
+              Graph(edges=(k5 - {(0, 1)}) | {(0, 5), (1, 5), (2, 5)})):
+        res = planarity(g)
+        assert not res.planar and verify_kuratowski(g, res.witness) == []
+        assert res.witness.kind == "K33" and sorted(res.witness.branch_vertices) == list(range(6))
+
+
+def test_witness_with_cut_vertices():
+    # a K5 and a K33 that share vertex 0, a 4-cycle on a bridge at 3 and
+    # leaves: the witness lies in one of the two non-planar blocks
+    k33 = {(a, b) for a in (0, 10, 11) for b in (12, 13, 14)}
+    g = Graph(edges=complete_graph(5).edges | k33 | {(3, 20), (20, 21), (21, 22), (22, 23),
+                                                     (20, 23), (22, 24), (12, 25)})
+    w = planarity(g).witness
+    assert verify_kuratowski(g, w) == []
+    used = {v for _, p in w.paths for v in p}
+    assert used <= set(range(5)) or used <= {0, 10, 11, 12, 13, 14}
+    # a K34 (seven branch vertices, so shrinking runs) glued at a cut
+    # vertex to a planar grid, with a claw on another vertex
+    g = Graph(edges=complete_bipartite(3, 4, offset=100).edges | _grid(4, 4).edges | {(100, 0)})
+    g = _with_trees(g, [101, 5])
+    res = planarity(g)
+    assert not res.planar and verify_kuratowski(g, res.witness) == []
+    assert {v for _, p in res.witness.paths for v in p} <= set(range(100, 107))
+
+
+def test_small_nonplanar_input_is_reduced_once(lr_runs, monkeypatch):
+    # at most six branch vertices once pendant edges are peeled: the one
+    # reduction in planarity() decides g and gives the witness, with no LR
+    # run, no block split and no shrinking
+    reductions = [0]
+    original = embeddings._reduced_planar
+
+    def counted(adj, deg, labels=None):
+        reductions[0] += 1
+        return original(adj, deg, labels)
+
+    monkeypatch.setattr(embeddings, "_reduced_planar", counted)
+    sub, _ = _subdivided(complete_bipartite(3, 3))
+    for g in (complete_graph(5), complete_bipartite(3, 3), _with_trees(sub, sorted(sub.vertices)),
+              Graph(edges=complete_graph(5).edges | {(0, 5), (1, 5), (2, 5)})):
+        reductions[0] = lr_runs[0] = 0
+        res = planarity(g)
+        assert not res.planar and verify_kuratowski(g, res.witness) == []
+        assert (reductions[0], lr_runs[0]) == (1, 0), sorted(g.edges)
 
 
 def test_planarity_modes_agree_on_small_graphs(graphs_le7):
