@@ -28,6 +28,14 @@ class Graph:
 
     Endpoints of supplied edges are added to the vertex set automatically, so
     ``Graph(edges=[(0, 1)])`` is the single edge.  Isolated vertices are kept.
+
+    ``Graph(...)`` checks and normalises what it is given.  Graphs derived
+    from another graph (``subgraph``, ``remove_vertices``, ``remove_edges``,
+    ``edge_subgraph``) skip that pass: their parts come from a graph that was
+    already checked, and their adjacency rows are filtered from its sorted
+    rows.  They equal what ``Graph(...)`` would build, down to the iteration
+    order of ``vertices`` and ``edges``.  A surgery that changes nothing
+    returns the graph itself, which is safe because graphs are immutable.
     """
 
     __slots__ = ("vertices", "edges", "_adj", "_hash")
@@ -59,6 +67,21 @@ class Graph:
         }
         self._hash = hash((self.vertices, self.edges))
 
+    @classmethod
+    def _derived(
+        cls, vs: Iterable[int], es: Iterable[Edge], adj: dict[int, tuple[int, ...]]
+    ) -> "Graph":
+        """A graph from parts another graph has already normalised: vertex
+        ids, normalised edges and sorted adjacency rows.  vs and es are
+        stored the way __init__ stores them, one add at a time into a set
+        that is then frozen, so the frozensets iterate in the same order."""
+        g = object.__new__(cls)
+        g.vertices = frozenset({v for v in vs})
+        g.edges = frozenset({e for e in es})
+        g._adj = adj
+        g._hash = hash((g.vertices, g.edges))
+        return g
+
     # -- basic queries -------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -88,9 +111,14 @@ class Graph:
 
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         keep = set(keep)
-        return Graph(
-            vertices=keep & self.vertices,
-            edges=[e for e in self.edges if e[0] in keep and e[1] in keep],
+        vs = keep & self.vertices
+        if len(vs) == len(self.vertices):
+            return self
+        adj = self._adj
+        return Graph._derived(
+            vs,
+            [e for e in self.edges if e[0] in keep and e[1] in keep],
+            {v: tuple(w for w in adj[v] if w in keep) for v in vs},
         )
 
     def remove_vertices(self, drop: Iterable[int]) -> "Graph":
@@ -99,7 +127,14 @@ class Graph:
 
     def remove_edges(self, drop: Iterable[Sequence[int]]) -> "Graph":
         gone = {norm_edge(u, v) for u, v in drop}
-        return Graph(self.vertices, self.edges - gone)
+        es = self.edges - gone
+        if len(es) == len(self.edges):
+            return self
+        adj = dict(self._adj)
+        for u, v in gone & self.edges:
+            adj[u] = tuple(w for w in adj[u] if w != v)
+            adj[v] = tuple(w for w in adj[v] if w != u)
+        return Graph._derived(self.vertices, es, adj)
 
     def add_edges(self, extra: Iterable[Sequence[int]]) -> "Graph":
         return Graph(self.vertices, list(self.edges) + [tuple(e) for e in extra])
@@ -113,7 +148,12 @@ class Graph:
         for u, v in es:
             vs.add(u)
             vs.add(v)
-        return Graph(vs, es)
+        adj = self._adj
+        rows = {
+            v: tuple(w for w in adj[v] if ((v, w) if v < w else (w, v)) in es)
+            for v in vs
+        }
+        return Graph._derived(vs, es, rows)
 
     # -- connectivity ---------------------------------------------------
 
@@ -277,6 +317,8 @@ def contract(g: Graph, contracted: Iterable[Sequence[int]]) -> tuple[Graph, dict
     missing = ces - g.edges
     if missing:
         raise ValueError(f"contract: edges not in graph: {sorted(missing)}")
+    if not ces:
+        return g, {v: v for v in g.vertices}
     parent = {v: v for v in g.vertices}
 
     def find(x: int) -> int:
@@ -312,98 +354,106 @@ def _max_flow_paths(
 
     Every vertex has capacity one, so the paths are fully disjoint and the
     min cut is a vertex separator of equal size.
+
+    Vertex i (in sorted order) splits into node 2i (in) and 2i + 1 (out);
+    2n is the source and 2n + 1 the sink.  Arcs are integers: arc e runs to
+    head[e] with residual capacity res[e], and e ^ 1 is its reverse, so
+    even arcs carry the capacities and an even arc's flow is res[e ^ 1].
+    The in-out arc of vertex i is arc 2i.  Arcs are inserted in a fixed
+    order (vertex arcs, both arcs of each edge in sorted edge order, source
+    arcs, sink arcs) and each node keeps its arcs in that order, so the
+    breadth-first augmentations find the same paths as a search over
+    tuple-keyed arc dicts built in that order.  The flow decomposes into
+    paths by always leaving a node along the smallest head with flow left,
+    and the separator is read off the residual reachability of the last,
+    failed augmentation; both depend only on the flow, so the paths and
+    the separator are those of the dict-based search too.
     """
     verts = sorted(g.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    # node 2i = v_in, 2i+1 = v_out; 2n = source, 2n+1 = sink
     src, snk = 2 * n, 2 * n + 1
     big = n + 1 + len(g.edges)
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {src: [], snk: []}
-
-    def add_arc(x: int, y: int, c: int) -> None:
-        if (x, y) not in cap:
-            cap[(x, y)] = 0
-            cap[(y, x)] = cap.get((y, x), 0)
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-        cap[(x, y)] += c
-
-    for i in range(n):
-        add_arc(2 * i, 2 * i + 1, 1)
+    # vertex arcs: arc 2i runs in -> out, arc 2i + 1 back
+    head = [e ^ 1 for e in range(2 * n)]
+    arcs = [[e] for e in range(2 * n)] + [[], []]
+    # edge arcs carry capacity 1: a simple-graph edge is used by one path
     for u, v in g.sorted_edges():
-        iu, iv = idx[u], idx[v]
-        # edge arcs carry capacity 1: a simple-graph edge is used by one path
-        add_arc(2 * iu + 1, 2 * iv, 1)
-        add_arc(2 * iv + 1, 2 * iu, 1)
+        in_u, in_v = 2 * idx[u], 2 * idx[v]
+        e = len(head)
+        # out(u) -> in(v) and back, then out(v) -> in(u) and back
+        head += (in_v, in_u + 1, in_u, in_v + 1)
+        arcs[in_u + 1].append(e)
+        arcs[in_v].append(e + 1)
+        arcs[in_v + 1].append(e + 2)
+        arcs[in_u].append(e + 3)
+    res = [1, 0] * (len(head) // 2)
     for v in sorted(a):
-        add_arc(src, 2 * idx[v], big)
+        arcs[src].append(len(head))
+        arcs[2 * idx[v]].append(len(head) + 1)
+        head += (2 * idx[v], src)
+        res += (big, 0)
     for v in sorted(b):
-        add_arc(2 * idx[v] + 1, snk, big)
+        arcs[2 * idx[v] + 1].append(len(head))
+        arcs[snk].append(len(head) + 1)
+        head += (snk, 2 * idx[v] + 1)
+        res += (big, 0)
 
-    flow: dict[tuple[int, int], int] = {k: 0 for k in cap}
-
-    def bfs_augment() -> bool:
-        prev: dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
+    while True:
+        # breadth-first search of the residual graph; via[y] is the arc
+        # that reached y (-1: not reached; the source holds a dummy arc),
+        # stopping once the sink is taken
+        via = [-1] * (2 * n + 2)
+        via[src] = len(head)
+        order = [src]
+        for x in order:
             if x == snk:
                 break
-            for y in adj.get(x, ()):
-                if y not in prev and cap[(x, y)] - flow[(x, y)] > 0:
-                    prev[y] = x
-                    queue.append(y)
-        if snk not in prev:
-            return False
+            for e in arcs[x]:
+                if res[e]:
+                    y = head[e]
+                    if via[y] < 0:
+                        via[y] = e
+                        order.append(y)
+        if via[snk] < 0:
+            break
         y = snk
         while y != src:
-            x = prev[y]
-            flow[(x, y)] += 1
-            flow[(y, x)] -= 1
-            y = x
-        return True
+            e = via[y]
+            res[e] -= 1
+            res[e ^ 1] += 1
+            y = head[e ^ 1]
 
-    while bfs_augment():
-        pass
-
-    # decompose the integral flow into source-sink paths
-    residual_out: dict[int, list[int]] = {}
-    for (x, y), f in sorted(flow.items()):
-        for _ in range(max(0, f)):
-            residual_out.setdefault(x, []).append(y)
-    for lst in residual_out.values():
+    # decompose the integral flow into source-sink paths, leaving each node
+    # along the smallest head with flow left
+    leaving: list[list[int]] = [[] for _ in range(2 * n + 2)]
+    for e in range(0, len(head), 2):
+        f = res[e ^ 1]
+        if f:
+            leaving[head[e ^ 1]].extend([head[e]] * f)
+    for lst in leaving:
         lst.sort(reverse=True)
     raw_paths: list[list[int]] = []
-    while residual_out.get(src):
+    while leaving[src]:
         walk = [src]
         x = src
         while x != snk:
-            nxt = residual_out[x].pop()
-            walk.append(nxt)
-            x = nxt
+            x = leaving[x].pop()
+            walk.append(x)
         raw_paths.append(walk)
 
     # each walk enters and leaves every vertex once: in-node, then out-node
     paths = [[verts[node // 2] for node in walk[1:-1:2]] for walk in raw_paths]
 
-    # min cut from residual reachability
-    reached = {src}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in adj.get(x, ()):
-            if y not in reached and cap[(x, y)] - flow[(x, y)] > 0:
-                reached.add(y)
-                queue.append(y)
-    # a cut arc charges its head: a cut vertex arc its own vertex, a cut
-    # edge arc the vertex it enters, whose unit capacity it saturates
+    # min cut: the nodes the failed search reached.  An arc from a reached
+    # to an unreached node is saturated; it charges its head: a cut vertex
+    # arc its own vertex, a cut edge arc the vertex it enters, whose unit
+    # capacity it saturates
     separator: set[int] = set()
-    for (x, y), c in sorted(cap.items()):
-        if c > 0 and x in reached and y not in reached and flow[(x, y)] > 0:
-            if x < 2 * n and y < 2 * n:
-                separator.add(verts[y // 2])
+    for e in range(0, len(head), 2):
+        x, y = head[e ^ 1], head[e]
+        if x < src and y < src and via[x] >= 0 and via[y] < 0:
+            separator.add(verts[y // 2])
     return paths, separator
 
 

@@ -10,7 +10,8 @@ trial's exact genus, to check that decompose's yes/no trials keep the
 same core; and k2n_by_all_pairs and two_connected_by_all_pairs, which
 run dichotomy's path families on every vertex pair, to check that
 skipping the pairs without room for n paths changes no witness or
-structure.
+structure.  max_flow_by_dicts is the tuple-keyed flow that core's
+array-based flow replaced, kept to pin its paths and separator.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import deque
 
 from surfembed import dichotomy, embeddings, minors
 from surfembed.core import Graph, norm_edge
@@ -571,3 +573,105 @@ def core_by_exact_genus(g: Graph, gamma: int) -> Graph:
             core = trial
     return core
 
+
+def max_flow_by_dicts(
+    g: Graph, a: frozenset[int], b: frozenset[int]
+) -> tuple[list[list[int]], set[int]]:
+    """Unit-capacity vertex-split max flow between vertex sets, on
+    tuple-keyed arc dicts: the flow that core._max_flow_paths replaced.
+
+    Every vertex has capacity one, so the paths are fully disjoint and the
+    min cut is a vertex separator of equal size.
+    """
+    verts = sorted(g.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    # node 2i = v_in, 2i+1 = v_out; 2n = source, 2n+1 = sink
+    src, snk = 2 * n, 2 * n + 1
+    big = n + 1 + len(g.edges)
+    cap: dict[tuple[int, int], int] = {}
+    adj: dict[int, list[int]] = {src: [], snk: []}
+
+    def add_arc(x: int, y: int, c: int) -> None:
+        if (x, y) not in cap:
+            cap[(x, y)] = 0
+            cap[(y, x)] = cap.get((y, x), 0)
+            adj.setdefault(x, []).append(y)
+            adj.setdefault(y, []).append(x)
+        cap[(x, y)] += c
+
+    for i in range(n):
+        add_arc(2 * i, 2 * i + 1, 1)
+    for u, v in g.sorted_edges():
+        iu, iv = idx[u], idx[v]
+        # edge arcs carry capacity 1: a simple-graph edge is used by one path
+        add_arc(2 * iu + 1, 2 * iv, 1)
+        add_arc(2 * iv + 1, 2 * iu, 1)
+    for v in sorted(a):
+        add_arc(src, 2 * idx[v], big)
+    for v in sorted(b):
+        add_arc(2 * idx[v] + 1, snk, big)
+
+    flow: dict[tuple[int, int], int] = {k: 0 for k in cap}
+
+    def bfs_augment() -> bool:
+        prev: dict[int, int] = {src: src}
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            if x == snk:
+                break
+            for y in adj.get(x, ()):
+                if y not in prev and cap[(x, y)] - flow[(x, y)] > 0:
+                    prev[y] = x
+                    queue.append(y)
+        if snk not in prev:
+            return False
+        y = snk
+        while y != src:
+            x = prev[y]
+            flow[(x, y)] += 1
+            flow[(y, x)] -= 1
+            y = x
+        return True
+
+    while bfs_augment():
+        pass
+
+    # decompose the integral flow into source-sink paths
+    residual_out: dict[int, list[int]] = {}
+    for (x, y), f in sorted(flow.items()):
+        for _ in range(max(0, f)):
+            residual_out.setdefault(x, []).append(y)
+    for lst in residual_out.values():
+        lst.sort(reverse=True)
+    raw_paths: list[list[int]] = []
+    while residual_out.get(src):
+        walk = [src]
+        x = src
+        while x != snk:
+            nxt = residual_out[x].pop()
+            walk.append(nxt)
+            x = nxt
+        raw_paths.append(walk)
+
+    # each walk enters and leaves every vertex once: in-node, then out-node
+    paths = [[verts[node // 2] for node in walk[1:-1:2]] for walk in raw_paths]
+
+    # min cut from residual reachability
+    reached = {src}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y in adj.get(x, ()):
+            if y not in reached and cap[(x, y)] - flow[(x, y)] > 0:
+                reached.add(y)
+                queue.append(y)
+    # a cut arc charges its head: a cut vertex arc its own vertex, a cut
+    # edge arc the vertex it enters, whose unit capacity it saturates
+    separator: set[int] = set()
+    for (x, y), c in sorted(cap.items()):
+        if c > 0 and x in reached and y not in reached and flow[(x, y)] > 0:
+            if x < 2 * n and y < 2 * n:
+                separator.add(verts[y // 2])
+    return paths, separator

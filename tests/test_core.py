@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import random_graph, separator_cuts_everything
+from oracles import max_flow_by_dicts, random_graph, separator_cuts_everything
+from surfembed import core
 from surfembed.core import (
     Graph,
     MarkedGraph,
@@ -157,6 +158,90 @@ def test_menger_duality_random(rng):
             for u, v in zip(p, p[1:]):
                 assert g.has_edge(u, v)
         assert separator_cuts_everything(g, a, b, ps.separator)
+
+
+def _flow_instance(rng):
+    """A random graph on scattered ids, maybe with isolated vertices, and
+    two endpoint sets that may overlap or hold a single vertex."""
+    n = rng.randrange(1, 13)
+    ids = rng.sample(range(3 * n + 40), n + 3)
+    g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5))).relabel(dict(enumerate(ids)))
+    if rng.random() < 0.5:
+        g = Graph(g.vertices | set(ids[n:]), g.edges)
+    vs = sorted(g.vertices)
+    a = frozenset(rng.sample(vs, rng.randrange(1, min(4, len(vs)) + 1)))
+    if rng.random() < 0.3:
+        b = frozenset(rng.sample(sorted(a), 1)) | frozenset(rng.sample(vs, min(2, len(vs) - 1)))
+    else:
+        b = frozenset(rng.sample(vs, rng.randrange(1, min(4, len(vs)) + 1)))
+    return g, a, b
+
+
+def test_flow_matches_the_dict_oracle(rng):
+    # the array flow returns the very paths, in decomposition order, and
+    # the separator of the tuple-keyed flow it replaced
+    seen = {"scattered": 0, "isolated": 0, "overlap": 0, "single": 0}
+    for trial in range(2400):
+        g, a, b = _flow_instance(rng)
+        assert core._max_flow_paths(g, a, b) == max_flow_by_dicts(g, a, b)
+        seen["scattered"] += max(g.vertices) >= g.n
+        seen["isolated"] += any(g.degree(v) == 0 for v in g.vertices)
+        seen["overlap"] += bool(a & b)
+        seen["single"] += len(a) == 1 or len(b) == 1
+    assert min(seen.values()) >= 300, seen
+
+
+def _same_graph(h: Graph, ref: Graph) -> None:
+    assert h == ref and hash(h) == hash(ref)
+    assert h.vertices == ref.vertices and h.edges == ref.edges
+    assert all(h.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
+    # the LR test numbers vertices in edge order: derived graphs keep it
+    assert list(h.edges) == list(ref.edges)
+    assert list(h.vertices) == list(ref.vertices)
+
+
+def _subgraph_by_constructor(g: Graph, keep) -> Graph:
+    keep = set(keep)
+    return Graph(
+        vertices=keep & g.vertices,
+        edges=[e for e in g.edges if e[0] in keep and e[1] in keep],
+    )
+
+
+def test_derived_graphs_match_the_constructor(rng):
+    # each derived graph equals the one Graph(...) builds from the same
+    # parts, down to the iteration order of its vertex and edge sets; a
+    # surgery that changes nothing returns the graph itself
+    for trial in range(300):
+        n = rng.randrange(2, 16)
+        g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+        g = g.relabel(dict(enumerate(rng.sample(range(4 * n + 60), n))))
+        vs, es = sorted(g.vertices), sorted(g.edges)
+        stray = max(vs) + 1
+        assert g.remove_vertices(()) is g and g.remove_vertices([stray]) is g
+        assert g.remove_edges(()) is g and g.remove_edges([(vs[0], stray)]) is g
+        assert g.subgraph(vs + [stray]) is g
+        h, rep = contract(g, ())
+        assert h is g and rep == {v: v for v in vs}
+
+        keep = set(rng.sample(vs, rng.randrange(0, n))) | {stray}
+        _same_graph(g.subgraph(keep), _subgraph_by_constructor(g, keep))
+
+        drop = rng.sample(vs, rng.randrange(1, n + 1))
+        _same_graph(g.remove_vertices(drop),
+                    _subgraph_by_constructor(g, g.vertices - set(drop)))
+
+        if not es:
+            continue
+        gone = [e[::-1] for e in rng.sample(es, rng.randrange(1, len(es) + 1))]
+        gone.append((vs[0], stray))
+        _same_graph(g.remove_edges(gone), Graph(
+            g.vertices, g.edges - {norm_edge(u, v) for u, v in gone}
+        ))
+
+        kept = [e[::-1] for e in rng.sample(es, rng.randrange(0, len(es) + 1))]
+        norm = {norm_edge(u, v) for u, v in kept}
+        _same_graph(g.edge_subgraph(kept), Graph({v for e in norm for v in e}, norm))
 
 
 def test_blocks_two_triangles_at_cut():

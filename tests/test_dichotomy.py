@@ -352,6 +352,33 @@ def test_planar_vertex_witness_k33_pack():
     assert ok, errs
 
 
+def _count_graph_builds(monkeypatch) -> list[int]:
+    calls = [0]
+    original = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("engine, host, builds", [
+    # contract(g, ()) is g itself: the tree is a forest already
+    (forest_contract_dichotomy, path_graph(7), 0),
+    # g.remove_vertices(()) is g itself: planarity builds no graph
+    (planar_vertex_flaws, complete_bipartite(2, 5), 0),
+    # g.remove_edges(()) is g itself: only the cone over it is built
+    (almost_outerplanar_dichotomy, cycle_graph(8), 1),
+], ids=["forest_contract", "planar_vertex", "almost_outerplanar"])
+def test_empty_flaw_checks_copy_no_graph(monkeypatch, engine, host, builds):
+    calls = _count_graph_builds(monkeypatch)
+    out = engine(host, 2, 0)
+    assert out.tag == "flaw-set" and out.flaw == frozenset()
+    assert calls[0] == builds
+
+
 def test_classify_planar_graph_gets_certificate():
     rep = classify(cycle_graph(6), 2, 1, 1)
     assert not rep.obstructed
