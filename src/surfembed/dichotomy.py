@@ -44,17 +44,9 @@ from .core import (
 )
 from .decompose import Decomposition, decompose, genus_bound
 from .embeddings import BudgetExceeded, is_planar
-from .minors import MinorModel, glue_models, pack_bouquet, pack_disjoint, verify_model
+from .minors import MinorModel, pack_bouquet, pack_disjoint, verify_model
 from .outerplanarity import su_obstruction, u_star_search
-from .patterns import (
-    PatternId,
-    aux_block,
-    aux_copies,
-    build_pattern,
-    convert_to_sigma,
-    sigma,
-    sigma_copies,
-)
+from .patterns import PatternId, build_pattern, convert_to_sigma, copies, glue_models
 
 Witness = tuple[PatternId, MinorModel]
 
@@ -467,27 +459,22 @@ def two_connected_structures(g: Graph, u: frozenset[int], n: int) -> CombStructu
 
 # --- witness assembly -------------------------------------------------
 
-def _pack_witness(g: Graph, pid: PatternId, timeout: float | None = None) -> Witness | None:
+def _pack_witness(g: Graph, pid: PatternId, timeout: float | None = None) -> MinorModel | None:
     """Pack pid.level copies of the pattern's block, disjoint or through
-    its glue vertex, and glue them into a model of the pattern.  Covers
-    the aux packings and the sigma families sharing at most one vertex.
-    Raises SearchTimeout when the timeout ends the packing unsettled."""
-    if pid.family == "sigma":
-        block = sigma(pid.index, 1)
-        shared, maps = sigma_copies(pid.index, pid.level)
-        hub = shared[0] if shared else None
-    else:
-        block, hub = aux_block(pid.kind)
-        maps = aux_copies(pid.kind, pid.level)
-    if hub is None:
-        res = pack_disjoint(g, block, pid.level, timeout)
-    else:
+    its one shared vertex, and glue them into a model of the pattern.
+    Covers the aux blocks and sigma(1), sigma(2).  Raises SearchTimeout
+    when the timeout ends the packing unsettled."""
+    block, shared, _ = copies(pid)
+    if shared:
+        (hub,) = shared
         res = pack_bouquet(g, block, hub, pid.level, timeout)
+    else:
+        res = pack_disjoint(g, block, pid.level, timeout)
     if not res.complete:
         if not res.exhausted:
             raise SearchTimeout
         return None
-    return glue_models(maps, res.models)
+    return glue_models(pid, res.models)
 
 
 def _k2n_witness(g: Graph, n: int) -> MinorModel | None:

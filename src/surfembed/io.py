@@ -25,6 +25,14 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _str(x, what: str) -> str:
+    """Names are checked like integers, so a list where a name belongs
+    raises ValueError, not a TypeError when a pattern id is hashed."""
+    if not isinstance(x, str):
+        raise ValueError(f"{what} must be a string, got {x!r}")
+    return x
+
+
 def _container(x, kind, what: str):
     """Every JSON reader checks an object or a list here before it looks
     inside, as it checks integers with _int."""
@@ -173,12 +181,12 @@ def pattern_id_to_json(pid: PatternId) -> dict:
 
 def pattern_id_from_json(d: dict) -> PatternId:
     d = _container(d, dict, "pattern id")
-    level = d.get("level")
+    level, kind = d.get("level"), d.get("kind")
     return PatternId(
-        d["family"],
+        _str(d["family"], "pattern family"),
         _int(d.get("index", 0), "pattern index"),
         None if level is None else _int(level, "pattern level"),
-        d.get("kind"),
+        None if kind is None else _str(kind, "pattern kind"),
     )
 
 

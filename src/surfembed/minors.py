@@ -840,26 +840,3 @@ def pack_bouquet(
         raise ValueError(f"hub {hub} is not a pattern vertex")
     return _pack(g, h, n, timeout, hub, frozenset(), frozenset())
 
-
-def glue_models(
-    copy_maps: list[dict[int, int]],
-    models: list[MinorModel],
-    host_marked: frozenset[int] | None = None,
-) -> MinorModel:
-    """Assemble per-copy models into one model of the glued pattern.
-
-    copy_maps[i] sends the vertices of copy i to pattern vertices; branch
-    sets landing on the same pattern vertex merge.  Given the host
-    marking, the result is a MarkedMinorModel carrying it.
-    """
-    bsets: dict[int, set[int]] = {}
-    conn: dict[Edge, Edge] = {}
-    for cm, mdl in zip(copy_maps, models):
-        for b, bs in mdl.branch_sets.items():
-            bsets.setdefault(cm[b], set()).update(bs)
-        for (a, b), e in mdl.connect_edges.items():
-            conn[norm_edge(cm[a], cm[b])] = e
-    glued = {p: frozenset(s) for p, s in bsets.items()}
-    if host_marked is None:
-        return MinorModel(glued, conn)
-    return MarkedMinorModel(glued, conn, host_marked)

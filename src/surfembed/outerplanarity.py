@@ -37,20 +37,8 @@ from .embeddings import (
     min_genus,
     planarity,
 )
-from .minors import (
-    MarkedMinorModel,
-    find_marked_minor,
-    glue_models,
-    verify_marked_model,
-)
-from .patterns import (
-    PatternId,
-    build_pattern,
-    omega_theta_copies,
-    theta,
-    u_copies,
-    u_pattern,
-)
+from .minors import MarkedMinorModel, find_marked_minor, verify_marked_model
+from .patterns import PatternId, build_pattern, copies, glue_models, theta, u_pattern
 
 
 class NonPlanarInput(ValueError):
@@ -267,16 +255,16 @@ def _bouquet_at(
     directly makes the copies line up without any relabeling.
     """
     for i, primed in _TARGETS:
-        hub = u_copies(i, primed, 1)[0]
+        pid = PatternId("uprime" if primed else "u", i, n)
+        block, (hub,), _ = copies(pid)
 
         def find(sub: MarkedGraph) -> ThetaWitness | None:
-            r = settled(find_marked_minor(sub, theta(i), time_left(deadline), {hub: x}))
+            r = settled(find_marked_minor(sub, block, time_left(deadline), {hub: x}))
             return ThetaWitness(i, r.model) if r.found else None
 
         models = [tw.model for tw in _peel(g, find, frozenset([x]), n)]
         if len(models) == n:
-            pid = PatternId("uprime" if primed else "u", i, n)
-            return pid, glue_models(u_copies(i, primed, n)[1], models, g.marked)
+            return pid, glue_models(pid, models, g.marked)
     return None
 
 
@@ -350,7 +338,7 @@ def su_obstruction(
             same = [t.model for t in stream if t.index == tw.index]
             if len(same) == n:
                 pid = PatternId("omega-theta", tw.index, n)
-                return witness(pid, glue_models(omega_theta_copies(tw.index, n), same, g.marked))
+                return witness(pid, glue_models(pid, same, g.marked))
         for tw in [*stream, None]:
             cur = MarkedGraph(h, g.marked & h.vertices)
             crits = [x for x in h.sorted_vertices() if nice(h.remove_vertices([x]))]

@@ -6,15 +6,15 @@ complete and complete-bipartite blocks), four marked theta patterns
 copies glued at a shared vertex) and their disjoint omega variants, plus
 the small auxiliary families used by the dichotomy engines.
 
-Every generator uses a fixed deterministic id layout, exposed through
-the *_copies helpers so converters and tests can address individual
-copies.  convert_to_sigma rebuilds a sigma witness from any valid marked
-model of a u/omega-theta pattern inside a cone.  One recipe table, with
-one row per catalog conversion, says which input branch sets (and the
-cone vertex) make up each sigma branch set; the connector edges are then
-resolved from those branch sets in the host.  The output model is
-verified before it is returned, and the same table drives
-verify_catalog.
+Every pattern glued from copies of one block has a fixed deterministic
+id layout, exposed through copies(pid), which build_pattern, glue_models
+and the sigma conversion all read.  convert_to_sigma rebuilds a sigma
+witness from any valid marked model of a u/omega-theta pattern inside a
+cone.  One recipe table, with one row per catalog conversion, says which
+input branch sets (and the cone vertex) make up each sigma branch set;
+the connector edges are then resolved from those branch sets in the
+host.  The output model is verified before it is returned, and the same
+table drives verify_catalog.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .core import Graph, MarkedGraph, complete_bipartite, complete_graph, cone
+from .core import Edge, Graph, MarkedGraph, complete_bipartite, complete_graph, cone, norm_edge
 from .iso import are_isomorphic
 from .minors import (
     MarkedMinorModel,
@@ -80,10 +80,9 @@ class PatternId:
         return f"{self.family}{self.index}({self.level})"
 
 
-# base block sizes and hub choices for the theta-derived bouquets
-_THETA_SIZE = {1: 4, 2: 5, 3: 5, 4: 6}
-_HUB_PLAIN = {1: 0, 2: 0, 3: 2, 4: 0}
-_HUB_PRIMED = {2: 2, 3: 0, 4: 1}
+# shared block vertex of the theta bouquets: (theta index, primed) -> hub
+_THETA_HUBS = {(1, False): 0, (2, False): 0, (3, False): 2, (4, False): 0,
+               (2, True): 2, (3, True): 0, (4, True): 1}
 
 
 def theta(i: int) -> MarkedGraph:
@@ -106,34 +105,51 @@ def theta(i: int) -> MarkedGraph:
 
 _SIGMA_SHARED = {1: (), 2: (), 3: (0,), 4: (0,), 5: (0, 1), 6: (0, 3), 7: (0, 1)}
 
+# block graph and shared block vertices of each auxiliary family
+_AUX_BLOCKS: dict[str, tuple[Graph, tuple[int, ...]]] = {
+    "omegaK3": (complete_graph(3), ()),
+    "veeK3": (complete_graph(3), (0,)),
+    "omegaK4": (complete_graph(4), ()),
+    "veeK4": (complete_graph(4), (0,)),
+    "omegaK23": (complete_bipartite(2, 3), ()),
+    "G1": (complete_bipartite(2, 3), (0,)),
+    "G2": (complete_bipartite(2, 3), (2,)),
+}
 
-def _sigma_base(i: int) -> Graph:
-    return complete_graph(5) if i in (1, 3, 5) else complete_bipartite(3, 3)
 
+def copies(pid: PatternId) -> tuple[Graph | MarkedGraph, tuple[int, ...], list[dict[int, int]]]:
+    """The copy layout of a pattern glued from pid.level copies of one
+    block: the block, the block vertices every copy shares, and one map
+    per copy from block ids to pattern ids.
 
-def sigma_copies(i: int, n: int) -> tuple[tuple[int, ...], list[dict[int, int]]]:
-    """Per-copy vertex maps for sigma(i, n), i in 1..7.
-
-    Copy 0 keeps base ids; later copies renumber their private vertices
-    consecutively above the base block.  The shared ids come first.
+    Covers sigma 1..7, the u, uprime and omega-theta thetas (u5 is
+    K_{2,n}) and every aux kind but K2w.  A shared vertex keeps its block
+    id in every copy.  sigma's copy 0 keeps the block ids and later
+    copies number their private vertices consecutively above the block;
+    every other family sends block vertex b of copy j to j*|block| + b.
     """
-    if not 1 <= i <= 7:
-        raise ValueError("sigma_copies covers indices 1..7")
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    shared = _SIGMA_SHARED[i]
-    size = _sigma_base(i).n
-    private = [b for b in range(size) if b not in shared]
-    maps = []
-    for j in range(n):
-        if j == 0:
-            maps.append({b: b for b in range(size)})
-        else:
-            m = {s: s for s in shared}
-            for slot, b in enumerate(private):
-                m[b] = size + (j - 1) * len(private) + slot
-            maps.append(m)
-    return shared, maps
+    family, n = pid.family, pid.level
+    if family == "sigma" and pid.index <= 7:
+        block = complete_graph(5) if pid.index in (1, 3, 5) else complete_bipartite(3, 3)
+        shared = _SIGMA_SHARED[pid.index]
+        private = [b for b in range(block.n) if b not in shared]
+        maps = [{b: b for b in range(block.n)}]
+        for j in range(1, n):
+            top = block.n + (j - 1) * len(private)
+            maps.append({s: s for s in shared} | {b: top + k for k, b in enumerate(private)})
+        return block, shared, maps
+    if family in ("u", "uprime", "omega-theta") and pid.index <= 4:
+        block = theta(pid.index)
+        size = block.graph.n
+        shared = () if family == "omega-theta" else (_THETA_HUBS[pid.index, family == "uprime"],)
+    elif family == "aux" and pid.kind != "K2w":
+        block, shared = _AUX_BLOCKS[pid.kind]
+        size = block.n
+    else:
+        raise ValueError(f"{pid.label()} is not glued from copies of one block")
+    return block, shared, [
+        {b: b if b in shared else j * size + b for b in range(size)} for j in range(n)
+    ]
 
 
 def sigma(i: int, n: int) -> Graph:
@@ -143,106 +159,25 @@ def sigma(i: int, n: int) -> Graph:
     vertex; 5/6: sharing one edge; 7: n K33's sharing a non-adjacent
     same-side pair; 8: K_{3,n}.
     """
-    if i == 8:
-        if n < 1:
-            raise ValueError("level must be >= 1")
-        return complete_bipartite(3, n)
-    return _glue(_sigma_base(i), sigma_copies(i, n)[1])
-
-
-def _copy_maps(size: int, n: int, hub: int | None = None) -> list[dict[int, int]]:
-    """Copy j of a size-vertex block sends base id b to j*size + b; the
-    hub, if any, keeps its base id in every copy."""
-    return [{b: b if b == hub else j * size + b for b in range(size)} for j in range(n)]
-
-
-def _glue(base: Graph, maps: list[dict[int, int]]) -> Graph:
-    """The union of base's copies placed by the per-copy vertex maps."""
-    return Graph([], [(m[u], m[v]) for m in maps for u, v in base.edges])
-
-
-def _glue_theta(i: int, maps: list[dict[int, int]]) -> MarkedGraph:
-    base = theta(i)
-    marked = frozenset(m[b] for m in maps for b in base.marked)
-    return MarkedGraph(_glue(base.graph, maps), marked)
-
-
-def u_copies(i: int, primed: bool, n: int) -> tuple[int, list[dict[int, int]]]:
-    """Hub id and per-copy maps (theta base id -> pattern id) for the
-    bouquet patterns."""
-    hub = (_HUB_PRIMED if primed else _HUB_PLAIN).get(i)
-    if hub is None:
-        raise ValueError(f"no {'primed ' if primed else ''}bouquet for theta index {i}")
-    return hub, _copy_maps(_THETA_SIZE[i], n, hub)
+    return build_pattern(PatternId("sigma", i, n))
 
 
 def u_pattern(i: int, primed: bool, n: int) -> MarkedGraph:
     """Bouquet patterns: n theta(i) copies glued at one shared vertex
     (marked vertex when primed is false, unmarked when true), markings
     kept; index 5 is K_{2,n} with the n-side marked."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if i == 5:
-        if primed:
-            raise ValueError("index 5 has no primed variant")
-        g = complete_bipartite(2, n)
-        return MarkedGraph(g, frozenset(range(2, n + 2)))
-    if i == 1 and primed:
-        raise ValueError("every vertex of theta1 is marked; no primed variant")
-    return _glue_theta(i, u_copies(i, primed, n)[1])
-
-
-def omega_theta_copies(i: int, n: int) -> list[dict[int, int]]:
-    return _copy_maps(_THETA_SIZE[i], n)
+    return build_pattern(PatternId("uprime" if primed else "u", i, n))
 
 
 def omega_theta(i: int, n: int) -> MarkedGraph:
     """n disjoint copies of theta(i), markings kept."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    return _glue_theta(i, omega_theta_copies(i, n))
-
-
-# block graph and optional glue vertex for each auxiliary family
-_AUX_BLOCKS: dict[str, tuple[Graph, int | None]] = {
-    "omegaK3": (complete_graph(3), None),
-    "veeK3": (complete_graph(3), 0),
-    "omegaK4": (complete_graph(4), None),
-    "veeK4": (complete_graph(4), 0),
-    "omegaK23": (complete_bipartite(2, 3), None),
-    "G1": (complete_bipartite(2, 3), 0),
-    "G2": (complete_bipartite(2, 3), 2),
-}
-
-
-def aux_block(kind: str) -> tuple[Graph, int | None]:
-    """Block graph and glue vertex (None for a disjoint family) of an
-    auxiliary family built from copies; K2w is built directly."""
-    if kind not in _AUX_BLOCKS:
-        raise ValueError(f"no copy layout for aux kind {kind!r}")
-    return _AUX_BLOCKS[kind]
-
-
-def aux_copies(kind: str, n: int) -> list[dict[int, int]]:
-    """Per-copy vertex maps matching aux_pattern's layout.
-
-    The glue vertex keeps its base id in every copy; private vertices of
-    copy j move to j*size + b.
-    """
-    base, hub = aux_block(kind)
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    return _copy_maps(base.n, n, hub)
+    return build_pattern(PatternId("omega-theta", i, n))
 
 
 def aux_pattern(kind: str, n: int) -> Graph:
     """Small auxiliary families for the dichotomy engines: disjoint and
     bouquet unions of K3/K4/K_{2,3}, plus K_{2,n}."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if kind == "K2w":
-        return complete_bipartite(2, n)
-    return _glue(aux_block(kind)[0], aux_copies(kind, n))
+    return build_pattern(PatternId("aux", kind=kind, level=n))
 
 
 @functools.lru_cache(maxsize=64)
@@ -250,17 +185,45 @@ def build_pattern(pid: PatternId) -> Graph | MarkedGraph:
     """Materialize a PatternId.  A PatternId is frozen and the graphs it
     names are immutable, so the last patterns built are kept and a
     caller that verifies every witness it returns builds each once."""
-    if pid.family == "sigma":
-        return sigma(pid.index, pid.level)
+    n = pid.level
     if pid.family == "theta":
         return theta(pid.index)
-    if pid.family == "u":
-        return u_pattern(pid.index, False, pid.level)
-    if pid.family == "uprime":
-        return u_pattern(pid.index, True, pid.level)
-    if pid.family == "omega-theta":
-        return omega_theta(pid.index, pid.level)
-    return aux_pattern(pid.kind, pid.level)
+    if pid.family == "sigma" and pid.index == 8:
+        return complete_bipartite(3, n)
+    if pid.family == "u" and pid.index == 5:
+        return MarkedGraph(complete_bipartite(2, n), frozenset(range(2, n + 2)))
+    if pid.family == "aux" and pid.kind == "K2w":
+        return complete_bipartite(2, n)
+    block, _, maps = copies(pid)
+    base = block.graph if isinstance(block, MarkedGraph) else block
+    glued = Graph([], [(m[u], m[v]) for m in maps for u, v in base.edges])
+    if base is block:
+        return glued
+    return MarkedGraph(glued, frozenset(m[b] for m in maps for b in block.marked))
+
+
+def glue_models(
+    pid: PatternId,
+    models: list[MinorModel],
+    host_marked: frozenset[int] | None = None,
+) -> MinorModel:
+    """Assemble one model of pid's block per copy into a model of pid.
+
+    Each copy's map from copies(pid) sends its block vertices to pattern
+    vertices; branch sets landing on the same pattern vertex merge.
+    Given the host marking, the result is a MarkedMinorModel carrying it.
+    """
+    bsets: dict[int, set[int]] = {}
+    conn: dict[Edge, Edge] = {}
+    for cm, mdl in zip(copies(pid)[2], models):
+        for b, bs in mdl.branch_sets.items():
+            bsets.setdefault(cm[b], set()).update(bs)
+        for (a, b), e in mdl.connect_edges.items():
+            conn[norm_edge(cm[a], cm[b])] = e
+    glued = {p: frozenset(s) for p, s in bsets.items()}
+    if host_marked is None:
+        return MinorModel(glued, conn)
+    return MarkedMinorModel(glued, conn, host_marked)
 
 
 @dataclass
@@ -309,15 +272,12 @@ def _target_sets(
         return 8, n, {0: bs[0], 1: bs[1], 2: frozenset({cone_v}), **legs}
     if n <= consumed:
         raise ValueError("this conversion consumes one copy; need level >= 2")
-    if pid.family == "omega-theta":
-        maps = omega_theta_copies(pid.index, n)
-    else:
-        maps = u_copies(pid.index, pid.family == "uprime", n)[1]
-    shared, smaps = sigma_copies(j, n - consumed)
+    maps = copies(pid)[2]
+    _, shared, smaps = copies(PatternId("sigma", j, n - consumed))
 
-    def union(token: str, copies: list[dict[int, int]]) -> frozenset[int]:
+    def union(token: str, group: list[dict[int, int]]) -> frozenset[int]:
         out = {cone_v} if "v" in token else set()
-        for m in copies:
+        for m in group:
             for b in token.replace("v", ""):
                 out |= bs[m[int(b)]]
         return frozenset(out)
@@ -335,7 +295,6 @@ def convert_to_sigma(
     cone_v: int,
     x_kind: PatternId,
     model: MinorModel,
-    host_marked: frozenset[int] | None = None,
 ) -> ConversionResult:
     """Rebuild a sigma witness in g from a marked model of a u or
     omega-theta pattern living in g minus the cone vertex.
@@ -349,15 +308,13 @@ def convert_to_sigma(
         raise ValueError(f"no sigma conversion from {x_kind.label()}")
     if cone_v not in g.vertices:
         raise ValueError(f"cone vertex {cone_v} not in the graph")
-    if host_marked is None:
-        if not isinstance(model, MarkedMinorModel):
-            raise ValueError("need host_marked for a plain model")
-        host_marked = model.host_marked
+    if not isinstance(model, MarkedMinorModel):
+        raise ValueError("the input model must be a marked model")
     pattern = build_pattern(x_kind)
     host = g.remove_vertices([cone_v])
     if model.support() & {cone_v}:
         raise ValueError("input model must avoid the cone vertex")
-    ok, errs = verify_marked_model(MarkedGraph(host, frozenset(host_marked)), pattern, model)
+    ok, errs = verify_marked_model(MarkedGraph(host, frozenset(model.host_marked)), pattern, model)
     if not ok:
         raise ValueError("invalid input model: " + "; ".join(errs))
 

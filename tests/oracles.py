@@ -12,6 +12,9 @@ run dichotomy's path families on every vertex pair, to check that
 skipping the pairs without room for n paths changes no witness or
 structure.  max_flow_by_dicts is the tuple-keyed flow that core's
 array-based flow replaced, kept to pin its paths and separator.
+glued_by_family rebuilds every pattern glued from copies of one block
+with the per-family layout formulas that patterns.copies replaced, to pin
+its vertex ids and edge order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import random
 from collections import deque
 
 from surfembed import dichotomy, embeddings, minors
-from surfembed.core import Graph, norm_edge
+from surfembed.core import Graph, MarkedGraph, complete_bipartite, complete_graph, norm_edge
+from surfembed.patterns import PatternId, theta
 
 # pattern edges, per-role degree needs, and interchangeable role groups
 K5_PATTERN = ([(i, j) for i in range(5) for j in range(i + 1, 5)],
@@ -675,3 +679,69 @@ def max_flow_by_dicts(
             if x < 2 * n and y < 2 * n:
                 separator.add(verts[y // 2])
     return paths, separator
+
+
+# The copy layouts that patterns.copies replaced, one formula per family,
+# with the block and hub tables they read.
+_SIGMA_SHARED = {1: (), 2: (), 3: (0,), 4: (0,), 5: (0, 1), 6: (0, 3), 7: (0, 1)}
+_HUB_PLAIN = {1: 0, 2: 0, 3: 2, 4: 0}
+_HUB_PRIMED = {2: 2, 3: 0, 4: 1}
+_AUX_LAYOUTS = {
+    "omegaK3": (complete_graph, (3,), None),
+    "veeK3": (complete_graph, (3,), 0),
+    "omegaK4": (complete_graph, (4,), None),
+    "veeK4": (complete_graph, (4,), 0),
+    "omegaK23": (complete_bipartite, (2, 3), None),
+    "G1": (complete_bipartite, (2, 3), 0),
+    "G2": (complete_bipartite, (2, 3), 2),
+}
+
+
+def sigma_copy_maps(i: int, n: int) -> list[dict[int, int]]:
+    """Copy 0 keeps the block ids; later copies number their private
+    vertices consecutively above the block."""
+    shared = _SIGMA_SHARED[i]
+    size = 5 if i in (1, 3, 5) else 6
+    private = [b for b in range(size) if b not in shared]
+    maps = []
+    for j in range(n):
+        if j == 0:
+            maps.append({b: b for b in range(size)})
+        else:
+            m = {s: s for s in shared}
+            for slot, b in enumerate(private):
+                m[b] = size + (j - 1) * len(private) + slot
+            maps.append(m)
+    return maps
+
+
+def copy_maps(size: int, n: int, hub: int | None = None) -> list[dict[int, int]]:
+    """Copy j sends block id b to j*size + b; the hub keeps its id."""
+    return [{b: b if b == hub else j * size + b for b in range(size)} for j in range(n)]
+
+
+def layout_by_family(pid: PatternId):
+    """(block, shared block ids, per-copy maps) of a copy-glued pattern."""
+    if pid.family == "sigma":
+        block = complete_graph(5) if pid.index in (1, 3, 5) else complete_bipartite(3, 3)
+        return block, _SIGMA_SHARED[pid.index], sigma_copy_maps(pid.index, pid.level)
+    if pid.family == "aux":
+        make, args, hub = _AUX_LAYOUTS[pid.kind]
+        block = make(*args)
+        size = block.n
+    else:
+        block = theta(pid.index)
+        size = block.graph.n
+        hub = {"u": _HUB_PLAIN, "uprime": _HUB_PRIMED}.get(pid.family, {}).get(pid.index)
+    return block, () if hub is None else (hub,), copy_maps(size, pid.level, hub)
+
+
+def glued_by_family(pid: PatternId) -> Graph | MarkedGraph:
+    """The union of the block's copies placed by layout_by_family's maps,
+    marks carried to every copy."""
+    block, _, maps = layout_by_family(pid)
+    base = block.graph if isinstance(block, MarkedGraph) else block
+    g = Graph([], [(m[u], m[v]) for m in maps for u, v in base.edges])
+    if base is block:
+        return g
+    return MarkedGraph(g, frozenset(m[b] for m in maps for b in block.marked))

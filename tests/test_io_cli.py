@@ -417,6 +417,11 @@ def test_cli_verify_comb_with_empty_path_is_invalid(tmp_path, capsys):
         ("minor", {"branch_sets": 5}, "k5"),
         ("minor", {"branch_sets": {"0": [0]}, "edges": 5}, "k5"),
         ("minor", {"model": {"branch_sets": {"0": [0]}}, "kind": 5}, None),
+        # an embedded pattern id whose family or kind is not a string
+        ("minor", {"model": {"branch_sets": {"0": [0]}},
+                   "kind": {"family": ["sigma"], "index": 1, "level": 2}}, None),
+        ("minor", {"model": {"branch_sets": {"0": [0]}},
+                   "kind": {"family": "sigma", "index": 1, "level": 2, "kind": ["x"]}}, None),
     ],
 )
 def test_cli_verify_mistyped_witness_is_an_error(tmp_path, capsys, kind, witness, pattern):

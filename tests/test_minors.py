@@ -39,7 +39,7 @@ from surfembed.minors import (
     verify_marked_model,
     verify_model,
 )
-from surfembed.patterns import sigma, theta, u_copies, u_pattern
+from surfembed.patterns import PatternId, copies, sigma, theta, u_pattern
 
 PETERSEN = Graph(
     range(10),
@@ -513,7 +513,7 @@ def test_blocks_settle_the_rooted_theta_searches(monkeypatch):
     host = MarkedGraph(Graph([], edges), frozenset(marks))
     calls = _count_subset_calls(monkeypatch)
     for i in (1, 2, 3, 4):
-        hub = u_copies(i, False, 1)[0]
+        _, (hub,), _ = copies(PatternId("u", i, 1))
         assert find_marked_minor(host, theta(i), roots={hub: 1}).status == "absent"
     assert calls[0] <= 20
 

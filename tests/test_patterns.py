@@ -6,22 +6,38 @@ import random
 
 import pytest
 
+from oracles import glued_by_family, layout_by_family
 from surfembed.core import Graph, MarkedGraph, complete_bipartite, complete_graph, cone, norm_edge
 from surfembed.iso import are_isomorphic
-from surfembed.minors import MarkedMinorModel, verify_marked_model, verify_model
+from surfembed.minors import MarkedMinorModel, MinorModel, verify_marked_model, verify_model
 from surfembed.patterns import (
     PatternId,
-    aux_copies,
     aux_pattern,
     build_pattern,
     convert_to_sigma,
+    copies,
+    glue_models,
     omega_theta,
     sigma,
-    sigma_copies,
     theta,
     u_pattern,
     verify_catalog,
 )
+
+# every pattern glued from copies of one block, with the number of block
+# vertices its copies share
+COPY_GLUED = (
+    [(("sigma", i, None), k) for i, k in {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2}.items()]
+    + [(("u", i, None), 1) for i in range(1, 5)]
+    + [(("uprime", i, None), 1) for i in range(2, 5)]
+    + [(("omega-theta", i, None), 0) for i in range(1, 5)]
+    + [(("aux", 0, k), 1 if k in ("veeK3", "veeK4", "G1", "G2") else 0)
+       for k in PatternId._AUX_KINDS if k != "K2w"]
+)
+
+
+def _copy_glued(n: int) -> list[tuple[PatternId, int]]:
+    return [(PatternId(f, i, n, k), hubs) for (f, i, k), hubs in COPY_GLUED]
 
 
 def test_pattern_id_validation():
@@ -89,26 +105,95 @@ def test_sigma8_is_complete_bipartite():
     assert are_isomorphic(sigma(8, 4), complete_bipartite(3, 4))
 
 
-def test_sigma_copies_overlap_only_on_shared():
-    with pytest.raises(ValueError):
-        sigma_copies(8, 2)
-    for i in range(1, 8):
-        shared, maps = sigma_copies(i, 3)
-        assert len(maps) == 3
-        g = sigma(i, 3)
-        images = [frozenset(m.values()) for m in maps]
-        shared_ids = frozenset(maps[0][s] for s in shared)
-        for a in range(3):
-            assert images[a] <= g.vertices
-            for b in range(a + 1, 3):
-                assert images[a] & images[b] == shared_ids
-        # copy maps embed the base block edge-faithfully
-        from surfembed.patterns import _sigma_base
+def _assert_copies_overlap_only_on_shared(pid: PatternId, n_shared: int) -> None:
+    block, shared, maps = copies(pid)
+    assert len(maps) == pid.level and len(shared) == n_shared, pid.label()
+    g = build_pattern(pid)
+    g = g.graph if isinstance(g, MarkedGraph) else g
+    base = block.graph if isinstance(block, MarkedGraph) else block
+    images = [frozenset(m.values()) for m in maps]
+    assert all(m[s] == s for m in maps for s in shared)
+    for a in range(len(maps)):
+        assert images[a] <= g.vertices
+        for b in range(a + 1, len(maps)):
+            assert images[a] & images[b] == frozenset(shared), pid.label()
+    # copy maps embed the block edge-faithfully
+    for m in maps:
+        assert sorted(m) == sorted(base.vertices)
+        for u, v in base.edges:
+            assert g.has_edge(m[u], m[v])
 
-        base = _sigma_base(i)
-        for m in maps:
-            for u, v in base.edges:
-                assert g.has_edge(m[u], m[v])
+
+def test_sigma_copies_overlap_only_on_shared():
+    for pid in (PatternId("sigma", 8, 2), PatternId("u", 5, 2), PatternId("theta", 1),
+                PatternId("aux", kind="K2w", level=2)):
+        with pytest.raises(ValueError):
+            copies(pid)
+    for pid, n_shared in _copy_glued(3):
+        if pid.family != "aux":
+            _assert_copies_overlap_only_on_shared(pid, n_shared)
+
+
+def test_aux_copies_glue_discipline():
+    hub_kinds = {"veeK3", "veeK4", "G1", "G2"}
+    for pid, n_shared in _copy_glued(3):
+        if pid.family != "aux":
+            continue
+        _assert_copies_overlap_only_on_shared(pid, n_shared)
+        images = [frozenset(m.values()) for m in copies(pid)[2]]
+        for a in range(3):
+            for b in range(a + 1, 3):
+                overlap = images[a] & images[b]
+                if pid.kind in hub_kinds:
+                    assert len(overlap) == 1
+                else:
+                    assert not overlap
+
+
+def test_copies_match_the_per_family_layouts():
+    # the per-family layout formulas fix every vertex id, and the edge
+    # order, on which LR answers depend
+    for n in range(1, 5):
+        for pid, _ in _copy_glued(n):
+            block, shared, maps = copies(pid)
+            want_block, want_shared, want_maps = layout_by_family(pid)
+            assert block == want_block and shared == want_shared, pid.label()
+            assert maps == want_maps, pid.label()
+            got, want = build_pattern(pid), glued_by_family(pid)
+            assert type(got) is type(want), pid.label()
+            if isinstance(want, MarkedGraph):
+                assert got.marked == want.marked, pid.label()
+                got, want = got.graph, want.graph
+            assert got.vertices == want.vertices and got.edges == want.edges, pid.label()
+            assert list(got.vertices) == list(want.vertices), pid.label()
+            assert list(got.edges) == list(want.edges), pid.label()
+
+
+def test_glued_copies_model_the_pattern():
+    # copy j's placement in the pattern is a model of the block; gluing
+    # one per copy gives the pattern's identity model
+    for n in range(1, 5):
+        for pid, _ in _copy_glued(n):
+            block, _, maps = copies(pid)
+            base = block.graph if isinstance(block, MarkedGraph) else block
+            models = [
+                MinorModel({b: frozenset({m[b]}) for b in base.vertices},
+                           {e: norm_edge(m[e[0]], m[e[1]]) for e in base.edges})
+                for m in maps
+            ]
+            pattern = build_pattern(pid)
+            if isinstance(pattern, MarkedGraph):
+                glued = glue_models(pid, models, pattern.marked)
+                assert isinstance(glued, MarkedMinorModel)
+                ok, errs = verify_marked_model(pattern, pattern, glued)
+                g = pattern.graph
+            else:
+                glued = glue_models(pid, models)
+                ok, errs = verify_model(pattern, pattern, glued)
+                g = pattern
+            assert ok, (pid.label(), errs)
+            assert glued.branch_sets == {p: frozenset({p}) for p in g.vertices}, pid.label()
+            assert glued.connect_edges == {e: e for e in g.edges}, pid.label()
 
 
 def test_u_pattern_sizes():
@@ -158,30 +243,13 @@ def test_aux_pattern_sizes():
     }
 
 
-def test_aux_copies_glue_discipline():
-    for kind in PatternId._AUX_KINDS:
-        if kind == "K2w":
-            continue
-        maps = aux_copies(kind, 3)
-        g = aux_pattern(kind, 3)
-        images = [frozenset(m.values()) for m in maps]
-        hub_kinds = {"veeK3", "veeK4", "G1", "G2"}
-        for a in range(3):
-            for b in range(a + 1, 3):
-                overlap = images[a] & images[b]
-                if kind in hub_kinds:
-                    assert len(overlap) == 1
-                else:
-                    assert not overlap
-        for m in maps:
-            assert frozenset(m.values()) <= g.vertices
-
-
 def test_build_pattern_dispatch():
     assert build_pattern(PatternId("sigma", 3, 2)) == sigma(3, 2)
     assert build_pattern(PatternId("u", 2, 3)) == u_pattern(2, False, 3)
     assert build_pattern(PatternId("uprime", 4, 2)) == u_pattern(4, True, 2)
     assert build_pattern(PatternId("aux", kind="omegaK3", level=2)) == aux_pattern("omegaK3", 2)
+    # only an aux id reads its kind
+    assert build_pattern(PatternId("sigma", 1, 2, kind="K2w")) == sigma(1, 2)
     t = build_pattern(PatternId("theta", 3))
     assert isinstance(t, MarkedGraph)
 
@@ -263,6 +331,17 @@ def test_conversion_needs_cone_neighbor_in_marked_branch_sets():
     coned, apex = cone(host, patt.marked - {3})
     with pytest.raises(ValueError, match="no host edge"):
         convert_to_sigma(coned, apex, pid, model)
+
+
+def test_conversion_needs_a_marked_model():
+    pid = PatternId("u", 1, 2)
+    patt = build_pattern(pid)
+    coned, apex = cone(patt.graph, patt.marked)
+    from surfembed.patterns import _identity_model
+
+    ident = _identity_model(patt)
+    with pytest.raises(ValueError, match="marked model"):
+        convert_to_sigma(coned, apex, pid, MinorModel(ident.branch_sets, ident.connect_edges))
 
 
 def test_verify_catalog_conversions_level_two():
