@@ -25,7 +25,14 @@ not fit its free vertices and edges by count fails at once, and from the
 first copy on it skips every model whose support contains the drop of a
 model whose residue already failed, since that leaves a subgraph of the
 failed residue, and every model whose support leaves too few free
-vertices for the copies still to come (int.bit_count needs Python 3.10).
+vertices or edges for the copies still to come; the stream counts the
+edges a placement takes while it places branch sets (int.bit_count
+needs Python 3.10).  A bouquet tries one hub vertex per class of host
+twins, which an automorphism of the host swaps, and, when h minus its
+hub is connected, refuses a hub vertex or a deeper level whose free
+components cannot hold the copies still needed by size, by edges to the
+hub vertex and by cycle rank.  _pack's docstring proves each cut sound:
+none removes a complete packing.
 
 Fixed costs are paid once across calls.  A plan depends only on the
 pattern, its marks and which pattern vertices are rooted, and a host
@@ -246,15 +253,25 @@ def _bits(mask: int) -> list[int]:
 class _Host:
     """A host graph indexed for the search: vertex ids in sorted order
     become bit positions, so the smallest id of a set is the lowest bit
-    of its mask, and nbr[i] is the neighbourhood mask of bit i.  Nothing
-    changes it after construction, so _host_index shares one per graph."""
+    of its mask, and nbr[i] is the neighbourhood mask of bit i.  twins[i]
+    is the mask of the bits j != i with N(i) - {j} = N(j) - {i}: false
+    twins share their neighbourhood mask, true twins their closed one.
+    Nothing changes it after construction, so _host_index shares one per
+    graph."""
 
-    __slots__ = ("ids", "bit", "nbr")
+    __slots__ = ("ids", "bit", "nbr", "twins")
 
     def __init__(self, g: Graph):
         self.ids = tuple(sorted(g.vertices))
         self.bit = {v: i for i, v in enumerate(self.ids)}
-        self.nbr = tuple(self.mask(g.neighbors(v)) for v in self.ids)
+        self.nbr = nbr = tuple(self.mask(g.neighbors(v)) for v in self.ids)
+        alike: dict[tuple[bool, int], int] = {}
+        for i, m in enumerate(nbr):
+            for key in ((False, m), (True, m | 1 << i)):
+                alike[key] = alike.get(key, 0) | 1 << i
+        self.twins = tuple(
+            (alike[False, m] | alike[True, m | 1 << i]) & ~(1 << i) for i, m in enumerate(nbr)
+        )
 
     def mask(self, vs) -> int:
         bit = self.bit
@@ -406,17 +423,19 @@ def _twin_predecessors(
 @functools.lru_cache(maxsize=256)
 def _plan(h: Graph, h_marked: frozenset[int], rooted: frozenset[int]):
     """How a stream places the vertices of a pattern h, as (order, steps,
-    connected).  It depends on h, its marks and which pattern vertices
-    are rooted, not on the host or on the host vertices of the roots, so
-    one plan serves every stream of a packing, at every level and for
-    every hub vertex, and every later search of the same pattern.
+    connected, lobe).  It depends on h, its marks and which pattern
+    vertices are rooted, not on the host or on the host vertices of the
+    roots, so one plan serves every stream of a packing, at every level
+    and for every hub vertex, and every later search of the same pattern.
 
     order: most constrained first, the rooted vertices, then by
     descending degree.  steps[i], for the vertex order[i]: the positions
     of its neighbours placed before it, the number placed after it,
     whether it is marked, and the position of its twin predecessor (or
-    None).  connected: whether h is connected.  All of it is tuples, so
-    no caller can change a memoised plan.
+    None).  connected: whether h is connected.  lobe: when one vertex p
+    is rooted, h is connected and h - p is connected and non-empty, the
+    pair (|V(h)| - 1, rank(h) + 1) that _pack's lobe count reads; else
+    None.  All of it is tuples, so no caller can change a memoised plan.
     """
     order = tuple(sorted(h.vertices, key=lambda p: (p not in rooted, -h.degree(p), p)))
     pos = {p: i for i, p in enumerate(order)}
@@ -430,7 +449,12 @@ def _plan(h: Graph, h_marked: frozenset[int], rooted: frozenset[int]):
         )
         for i, p in enumerate(order)
     )
-    return order, steps, len(h.components()) == 1
+    connected = len(h.components()) == 1
+    lobe = None
+    if connected and h.n > 1 and len(rooted) == 1 and rooted <= h.vertices:
+        if len(h.remove_vertices(rooted).components()) == 1:
+            lobe = (h.n - 1, h.m - h.n + 2)
+    return order, steps, connected, lobe
 
 
 def _resolve_connectors(g: Graph, h: Graph, assignment: dict[int, frozenset[int]]):
@@ -481,6 +505,7 @@ def _model_stream(
     failed=(),
     room: int | None = None,
     free_edges: int | None = None,
+    edge_room: int = 0,
 ):
     """Yield every minor model of h in g, marked constraints included, up
     to swapping the branch sets of twin pattern vertices, as the tuple of
@@ -501,7 +526,12 @@ def _model_stream(
     already failed it in `failed`: a placement whose partial support
     contains one of them is skipped.  It also passes `room`, the largest
     support it wants: each branch set is capped so that the support, with
-    one vertex for every branch set still to place, stays within it.
+    one vertex for every branch set still to place, stays within it.  And
+    it passes `edge_room`, the fewest edges the residue must keep: the
+    residue is `free` minus the support, the rooted host vertices (a
+    bouquet's hub vertex) kept.  The stream counts the edges each branch
+    set takes from it and does not extend a placement that leaves fewer;
+    supports only grow, so no completion could leave more.
     """
     roots = roots or {}
     free = (1 << len(host.ids)) - 1 if free is None else free
@@ -518,16 +548,17 @@ def _model_stream(
             if time.monotonic() > deadline:
                 raise SearchTimeout
 
-    order, steps, connected = plan
+    order, steps, connected, _ = plan
     last = len(order) - 1
     root_bits = [host.bit[roots[p]] if p in roots else None for p in order]
     nbr = host.nbr
     marked = host.mask(v for v in g_marked if v in host.bit)
     comps = host.components(free) if connected else None
     edge_budget = m_free - h.m
+    keep = host.mask({roots[p] for p in order if p in roots})
     placed = [0] * len(order)
 
-    def place(idx: int, avail: int, used: int, spent: int):
+    def place(idx: int, avail: int, used: int, spent: int, residue: int, left: int):
         ticker()
         if idx == len(order):
             yield tuple(placed)
@@ -556,13 +587,22 @@ def _model_stream(
                     if not drop & ~support:
                         break
                 else:
+                    res, kept = residue, left
+                    if edge_room:
+                        for i in _bits(cand & ~keep):
+                            res ^= 1 << i
+                            kept -= (nbr[i] & res).bit_count()
+                        if kept < edge_room:
+                            continue
                     placed[idx] = cand
                     rest = avail & ~cand
                     if comps is not None and idx == 0:
                         rest &= next(c for c in comps if c & cand)
-                    yield from place(idx + 1, rest, support, spent + cand.bit_count() - 1)
+                    yield from place(
+                        idx + 1, rest, support, spent + cand.bit_count() - 1, res, kept
+                    )
 
-    yield from place(0, free, 0, 0)
+    yield from place(0, free, 0, 0, free, m_free)
 
 
 def _planarity_refutes(
@@ -727,7 +767,7 @@ def _pack(
     The recursion works on a mask of the free host vertices: it takes the
     first model it sees and moves on, falling back to the next model only
     when the remainder fails.  An incomplete result with exhausted=True
-    certifies that no packing of n copies exists.  Three prunes cut the
+    certifies that no packing of n copies exists.  Six prunes cut the
     search:
 
     - Count.  k more copies sharing `shared` vertices (none, or z) and no
@@ -738,22 +778,50 @@ def _pack(
     - Room.  A level that needs k copies streams only models whose
       support is at most |free| - (k - 1)*(|V(h)| - shared), since a
       larger one leaves too few vertices for the other k - 1 copies.
+    - Edge room.  The same level's stream does not extend a placement
+      whose residue (free minus the support, z kept) has fewer than
+      (k - 1)*|E(h)| edges.  The residue is the next level's free mask,
+      and supports only grow, so every completion fails the next count.
     - Failed drops.  When a model's residue fails, its drop (support minus
       z) goes on the level's failed list, and the stream skips any later
       model whose support contains it: that model leaves a subgraph of
       the failed residue, which holds no packing either.
+    - Twin hubs.  Host vertices u and v are twins when N(u) - {v} =
+      N(v) - {u}; swapping them (both marked or neither) is an
+      automorphism of g that maps every bouquet at u to one at v.  So
+      once a hub vertex is exhausted, its twins are skipped.  Twins have
+      equal degrees, so the hub order is unchanged.
+    - Lobes.  Let h and h - hub be connected.  In a model, trim the hub
+      branch set to z and the components of it minus z that touch
+      another branch set; these realise every hub edge, so the trimmed
+      copy is still a model.  It minus z, its lobe, is connected (h - hub
+      is, and each kept piece touches it), has at least |V(h)| - 1
+      vertices and e >= 1 edges to z, and lies in one component D of
+      g[free] - z.  Cycle rank is minor-monotone and the trimmed copy is
+      connected, so rank(lobe) + e - 1 >= rank(h).  The lobes in D are
+      disjoint, so their ranks sum to at most rank(D) and their edges to
+      z to at most e_D, the edges between z and D.  Hence at most
+      min(e_D, |D| // (|V(h)| - 1), (rank(D) + e_D) // (rank(h) + 1))
+      copies fit in D, and a level (the first one included, so a hub
+      vertex is refused before any stream opens) fails when the sum over
+      the components falls short of k.  When h - hub is disconnected the
+      lobe may split: the path on 3 vertices hubbed at its middle is one.
 
     Each prune removes only subtrees that hold no complete packing, and
     the stream order is unchanged, so a complete result is the first
     complete packing of the plain recursion, flags, hub vertex and models
-    alike.
+    alike.  An incomplete result carries the largest partial packing the
+    pruned search placed before it stopped, often shorter than the plain
+    recursion's (a K3,3 bouquet of two triangles places none): no caller
+    should read it as more than some valid partial packing.
 
     One plan serves every stream, at every level and for every hub
     vertex, and each level counts the edges of its free mask once, for
     its own count and its stream's.  The plan and the host index come
     from the memos of the module docstring, so the packings of one
-    engine call on one host share them.  Partial packings hold the
-    streamed mask tuples; only the packing returned is built into models.
+    engine call on one host share them, the plan's lobe terms and the
+    index's twin masks included.  Partial packings hold the streamed
+    mask tuples; only the packing returned is built into models.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -767,8 +835,23 @@ def _pack(
     deadline = deadline_after(timeout)
     host = _host_index(g)
     plan = _plan(h, frozenset(h_marked), frozenset(() if hub is None else (hub,)))
+    lobe = plan[3]  # None for a disjoint packing, which roots nothing
+    nbr = host.nbr
     best: list[tuple[int, ...]] = []
     best_hub: int | None = None
+
+    def lobes_fit(k: int, free: int, zbit: int) -> bool:
+        lobe_size, lobe_need = lobe  # |V(h)| - 1, rank(h) + 1
+        fit = 0
+        for d in host.components(free & ~(1 << zbit)):
+            at_z = (nbr[zbit] & d).bit_count()
+            if at_z:
+                size = d.bit_count()
+                rank = host.edge_count(d) - size + 1
+                fit += min(at_z, size // lobe_size, (rank + at_z) // lobe_need)
+                if fit >= k:
+                    return True
+        return False
 
     def recurse(k: int, free: int, z: int | None, acc: list[tuple[int, ...]]):
         nonlocal best, best_hub
@@ -779,13 +862,15 @@ def _pack(
         size, edges = free.bit_count(), host.edge_count(free)
         if not fits(k, size, edges):
             return None
+        if lobe is not None and not lobes_fit(k, free, host.bit[z]):
+            return None
         roots = None if z is None else {hub: z}
         keep = 0 if z is None else 1 << host.bit[z]
         failed: list[int] = []
         for masks in _model_stream(
             g, h, g_marked=g_marked, roots=roots, deadline=deadline, host=host,
             free=free, failed=failed, room=size - (k - 1) * (h.n - shared), plan=plan,
-            free_edges=edges,
+            free_edges=edges, edge_room=(k - 1) * h.m,
         ):
             drop = 0
             for m in masks:
@@ -805,11 +890,18 @@ def _pack(
     hubs: list[int | None] = [None]
     if hub is not None:
         hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+    marked = host.mask(v for v in g_marked if v in host.bit)
+    skip = 0
     try:
         for z in hubs:
+            if z is not None and skip >> host.bit[z] & 1:
+                continue
             got = recurse(n, (1 << g.n) - 1, z, [])
             if got is not None:
                 return result(got, z, True, True)
+            if z is not None:
+                zbit = host.bit[z]
+                skip |= host.twins[zbit] & (marked if marked >> zbit & 1 else ~marked)
     except SearchTimeout:
         return result(best, best_hub, False, False)
     return result(best, best_hub, False, True)

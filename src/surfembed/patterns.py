@@ -57,13 +57,18 @@ class PatternId:
     _AUX_KINDS = ("G1", "G2", "K2w", "omegaK3", "veeK3", "omegaK4", "veeK4", "omegaK23")
 
     def __post_init__(self):
+        # one id per pattern: an aux id has no index, any other no kind
         if self.family == "aux":
             if self.kind not in self._AUX_KINDS:
                 raise ValueError(f"unknown aux kind {self.kind!r}")
+            if self.index != 0:
+                raise ValueError(f"aux patterns carry no index, got {self.index}")
         elif self.family in self._RANGES:
             lo, hi = self._RANGES[self.family]
             if not lo <= self.index <= hi:
                 raise ValueError(f"{self.family} index {self.index} out of range {lo}..{hi}")
+            if self.kind is not None:
+                raise ValueError(f"{self.family} patterns carry no kind, got {self.kind!r}")
         else:
             raise ValueError(f"unknown pattern family {self.family!r}")
         if self.family == "theta":

@@ -422,6 +422,11 @@ def test_cli_verify_comb_with_empty_path_is_invalid(tmp_path, capsys):
                    "kind": {"family": ["sigma"], "index": 1, "level": 2}}, None),
         ("minor", {"model": {"branch_sets": {"0": [0]}},
                    "kind": {"family": "sigma", "index": 1, "level": 2, "kind": ["x"]}}, None),
+        # a pattern id with a field its family does not carry
+        ("minor", {"model": {"branch_sets": {"0": [0]}},
+                   "kind": {"family": "sigma", "index": 1, "level": 2, "kind": "K2w"}}, None),
+        ("minor", {"model": {"branch_sets": {"0": [0]}},
+                   "kind": {"family": "aux", "index": 3, "level": 2, "kind": "omegaK3"}}, None),
     ],
 )
 def test_cli_verify_mistyped_witness_is_an_error(tmp_path, capsys, kind, witness, pattern):

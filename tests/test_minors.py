@@ -239,14 +239,27 @@ def _count_yields(monkeypatch, name: str) -> list[int]:
 
 
 def test_pack_level_that_fails_the_count_opens_no_stream(monkeypatch):
-    # K4 beside a 3-vertex path fits two disjoint triangles by count, but
-    # every triangle leaves at most the path's two edges for the second,
-    # so only the top level opens a stream
     streams = _count_calls(monkeypatch, "_model_stream")
+    received = _count_yields(monkeypatch, "_model_stream")
+    # K4 beside a 3-vertex path fits two disjoint triangles by count, but
+    # every triangle leaves at most the path's two edges for the second:
+    # the edge room refuses each inside the top-level stream, so no
+    # deeper level is reached
     g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6)])
     res = pack_disjoint(g, complete_graph(3), 2)
+    assert not res.complete and res.exhausted and res.models == []
+    assert streams[0] == 1 and received[0] == 0
+    # K4 on 0 3 4 5 with pendant edges 5-1 and 5-2.  Hub vertex 5 fails
+    # the lobe count, 0 passes it and places the triangle 0 3 4, whose
+    # residue, the star 5 0 1 2, keeps three vertices and three edges
+    # but fails the lobe count too, so the second level opens no stream;
+    # 3 and 4 are twins of 0
+    streams[0] = received[0] = 0
+    g = Graph(range(6), [(0, 3), (0, 4), (0, 5), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5)])
+    res = pack_bouquet(g, complete_graph(3), hub=0, n=2)
     assert not res.complete and res.exhausted and len(res.models) == 1
-    assert streams[0] == 1
+    assert res.hub_vertex == 0 and res.models[0].support() == {0, 3, 4}
+    assert streams[0] == 1 and received[0] == 1
 
 
 def test_pack_builds_one_plan(monkeypatch):
@@ -326,19 +339,24 @@ def test_pack_builds_only_the_models_it_returns(monkeypatch):
     # models of the result, complete, exhausted or timed out
     built = _count_calls(monkeypatch, "_resolve_connectors")
     received = _count_yields(monkeypatch, "_model_stream")
-    k33, k3 = complete_bipartite(3, 3), complete_graph(3)
-    # the first triangle 0 1 2 leaves none; 0 3 4 and 1 2 5 are disjoint
-    g = Graph(range(6), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (2, 5)])
-    for pack in (lambda: pack_disjoint(g, k3, 2), lambda: pack_bouquet(k33, k3, 0, 2)):
+    k3 = complete_graph(3)
+    # two disjoint triangle minors are streamed first, 0 4 6 and 1 4 6;
+    # neither leaves room for another
+    lone = Graph(range(7), [(0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6), (2, 5), (3, 5), (4, 6)])
+    # 4 and 5 see each other and 0 1 2, and 3 hangs from 5: the triangles
+    # 5 4 0, 5 4 1 and 5 4 2 are streamed at hub vertex 5, and each
+    # leaves only a star at 5, which holds no second one
+    fan = Graph(range(6), [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5), (4, 5)])
+    for pack in (lambda: pack_disjoint(lone, k3, 2), lambda: pack_bouquet(fan, k3, 0, 2)):
         built[0] = received[0] = 0
         res = pack()
-        assert res.exhausted and len(res.models) >= 1
+        assert not res.complete and res.exhausted and len(res.models) == 1
         assert received[0] > len(res.models) and built[0] == len(res.models)
     built[0] = received[0] = 0
     # the deadline passes at the stream's first clock check
     monkeypatch.setattr(minors, "time", types.SimpleNamespace(monotonic=lambda: math.inf))
     res = pack_disjoint(sigma(3, 3), k3, 4, timeout=60)
-    assert not res.complete and not res.exhausted and len(res.models) == 3
+    assert not res.complete and not res.exhausted and len(res.models) == 2
     assert received[0] > len(res.models) and built[0] == len(res.models)
 
 
@@ -404,14 +422,15 @@ def test_connected_pattern_stays_in_one_host_component(monkeypatch):
 
 
 def test_pack_skips_supports_that_already_failed(monkeypatch):
-    # a 4-cycle with two pendant edges has one cycle, so no two K3 models
-    # meet in one vertex; once a model's residue fails, no model whose
-    # support contains that model's drop is streamed again (80 without)
-    g = Graph(range(6), [(0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (3, 5)])
+    # K_{2,4} on 5 6 | 0 1 2 3 with a pendant edge 0-4 holds no two K3
+    # models through one vertex.  At hub vertex 5 every model takes 6 and
+    # two of 1 2 3, and its residue fails; once it has, no model whose
+    # support contains that model's drop is streamed again (12 without)
+    g = Graph(range(7), [(0, 4), (0, 5), (0, 6), (1, 5), (1, 6), (2, 5), (2, 6), (3, 5), (3, 6)])
     received = _count_yields(monkeypatch, "_model_stream")
     res = pack_bouquet(g, complete_graph(3), hub=0, n=2)
     assert not res.complete and res.exhausted and len(res.models) == 1
-    assert received[0] <= 10
+    assert received[0] <= 3
 
 
 def _same_packing(g, h, got, want, hub=None):
@@ -438,6 +457,102 @@ def test_packing_matches_the_unpruned_recursion(rng):
             for n in (2, 3):
                 _same_packing(g, h, pack_disjoint(g, h, n), pack_by_stream(g, h, n))
                 _same_packing(g, h, pack_bouquet(g, h, 0, n), pack_by_stream(g, h, n, hub=0), 0)
+
+
+def test_packing_matches_the_unpruned_recursion_on_the_atlas():
+    # the twin hubs, the lobe count and the edge room change no complete
+    # result either: every connected graph on at most 6 vertices, six
+    # patterns, every hub and the disjoint packings, n = 2 and 3, are
+    # 8 294 packings, each equal to the plain recursion's
+    patterns = [complete_graph(3), complete_graph(4), cycle_graph(4),
+                complete_bipartite(1, 3), path_graph(3), complete_bipartite(2, 3)]
+    count = 0
+    for size in range(1, 7):
+        for g in connected_graphs_on(size):
+            for h in patterns:
+                for n in (2, 3):
+                    _same_packing(g, h, pack_disjoint(g, h, n), pack_by_stream(g, h, n))
+                    for hub in h.sorted_vertices():
+                        want = pack_by_stream(g, h, n, hub=hub)
+                        _same_packing(g, h, pack_bouquet(g, h, hub, n), want, hub)
+                    count += 1 + h.n
+    assert count == 8294
+
+
+def test_twin_hubs_share_one_search(monkeypatch):
+    # K_{2,4} holds no two triangle minors through one vertex, and its
+    # hub vertices form two twin classes, the two sides: once a hub
+    # vertex is exhausted its twins are skipped, so two hub searches
+    # open a stream, not six
+    k24, k3 = complete_bipartite(2, 4), complete_graph(3)
+    assert minors._host_index(k24).twins == (0b000010, 0b000001, 0b111000,
+                                             0b110100, 0b101100, 0b011100)
+    streams = _count_calls(monkeypatch, "_model_stream")
+    res = pack_bouquet(k24, k3, 0, 2)
+    assert not res.complete and res.exhausted
+    assert streams[0] == 2
+    _same_packing(k24, k3, res, pack_by_stream(k24, k3, 2, hub=0), 0)
+    # true twins too: the vertices of K5 are one class
+    assert minors._host_index(complete_graph(5)).twins[0] == 0b11110
+
+
+def test_lobe_count_refuses_a_hub_before_its_stream(monkeypatch):
+    # a 4-cycle 0 4 1 5 with pendant edges 5-2 and 5-3 fits two triangles
+    # through one vertex by count (5 vertices and 6 edges), but has one
+    # cycle.  Every hub vertex fails the lobe count: at 5 the component
+    # 0 4 1 of g - 5 takes one copy and the leaves 2 and 3 none, and at
+    # any other vertex g - z is a tree with too few edges to z
+    g = Graph(range(6), [(0, 4), (0, 5), (1, 4), (1, 5), (2, 5), (3, 5)])
+    k3 = complete_graph(3)
+    streams = _count_calls(monkeypatch, "_model_stream")
+    res = pack_bouquet(g, k3, hub=0, n=2)
+    assert not res.complete and res.exhausted and res.models == []
+    assert streams[0] == 0
+    # the count applies only where h - hub is connected: not to the
+    # path on 3 vertices or K_{1,3} hubbed at their middle
+    none = frozenset()
+    assert minors._plan(k3, none, frozenset({0}))[3] == (2, 2)
+    assert minors._plan(path_graph(3), none, frozenset({1}))[3] is None
+    assert minors._plan(path_graph(3), none, frozenset({0}))[3] == (2, 1)
+    assert minors._plan(complete_bipartite(1, 3), none, frozenset({0}))[3] is None
+
+
+def test_edge_room_streams_only_residues_that_keep_the_edges(monkeypatch, rng):
+    # a K3,3 triangle bouquet: every model at a hub vertex leaves at most
+    # two edges of the three the second copy needs, so with the edge room
+    # the streams yield none of them
+    k33, k3 = complete_bipartite(3, 3), complete_graph(3)
+    received = _count_yields(monkeypatch, "_model_stream")
+    res = pack_bouquet(k33, k3, 0, 2)
+    assert not res.complete and res.exhausted and res.models == []
+    assert received[0] == 0
+    plan = minors._plan(k3, frozenset(), frozenset({0}))
+
+    def residue_edges(host, free, masks, keep):
+        support = 0
+        for m in masks:
+            support |= m
+        return host.edge_count(free & ~(support & ~keep))
+
+    host = minors._Host(k33)
+    free = (1 << 6) - 1
+    everything = list(minors._model_stream(k33, k3, plan=plan, host=host, roots={0: 0}))
+    assert everything and all(residue_edges(host, free, ms, 1) < 3 for ms in everything)
+    assert list(minors._model_stream(
+        k33, k3, plan=plan, host=host, roots={0: 0}, edge_room=3)) == []
+    # in general the edge room keeps exactly the models whose residue
+    # (free minus the support, the rooted vertex kept) has the edges
+    for trial in range(30):
+        g = random_graph(rng, rng.randrange(5, 9), 0.5)
+        host = minors._Host(g)
+        free = host.mask(v for v in g.vertices if rng.random() < 0.9)
+        z = rng.choice(g.sorted_vertices())
+        keep = 1 << host.bit[z]
+        for r in (1, 3, 6):
+            both = [minors._model_stream(g, k3, plan=plan, host=host, roots={0: z}, free=free,
+                                         edge_room=room) for room in (0, r)]
+            want = [ms for ms in both[0] if residue_edges(host, free, ms, keep) >= r]
+            assert list(both[1]) == want, (trial, r)
 
 
 def test_bouquet_room_leaves_the_hub_to_share():
@@ -468,9 +583,10 @@ def test_room_applies_from_the_first_copy(monkeypatch):
 def test_room_cuts_exhausted_packings_on_k33(monkeypatch):
     # K3,3 holds no two triangle minors, disjoint or through one vertex.
     # A first copy that leaves too few vertices for the second is not
-    # streamed (318 and 1 269 yields without the room).  Every disjoint
-    # triangle takes four of the six vertices, so none is placed (98
-    # yields while the room waited for one copy to be held)
+    # streamed: 30 and 135 subsets, 159 and 380 without the room.  Every
+    # disjoint triangle takes four of the six vertices, so none is
+    # placed; every bouquet triangle leaves too few edges, so the edge
+    # room places none either, and the hub vertices form two twin classes
     k33, k3 = complete_bipartite(3, 3), complete_graph(3)
     count = _count_yields(monkeypatch, "_connected_subsets")
     res = pack_disjoint(k33, k3, 2)
@@ -478,8 +594,8 @@ def test_room_cuts_exhausted_packings_on_k33(monkeypatch):
     assert count[0] <= 40
     count[0] = 0
     res = pack_bouquet(k33, k3, 0, 2)
-    assert not res.complete and res.exhausted and len(res.models) == 1
-    assert count[0] <= 600
+    assert not res.complete and res.exhausted and res.models == []
+    assert count[0] <= 150
 
 
 def test_icosahedron_has_no_k5_minor(monkeypatch):

@@ -248,8 +248,12 @@ def test_build_pattern_dispatch():
     assert build_pattern(PatternId("u", 2, 3)) == u_pattern(2, False, 3)
     assert build_pattern(PatternId("uprime", 4, 2)) == u_pattern(4, True, 2)
     assert build_pattern(PatternId("aux", kind="omegaK3", level=2)) == aux_pattern("omegaK3", 2)
-    # only an aux id reads its kind
-    assert build_pattern(PatternId("sigma", 1, 2, kind="K2w")) == sigma(1, 2)
+    # only an aux id carries a kind, and an aux id carries no index, so
+    # no pattern has two ids
+    with pytest.raises(ValueError):
+        PatternId("sigma", 1, 2, kind="K2w")
+    with pytest.raises(ValueError):
+        PatternId("aux", 3, 2, kind="omegaK3")
     t = build_pattern(PatternId("theta", 3))
     assert isinstance(t, MarkedGraph)
 
