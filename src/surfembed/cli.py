@@ -70,6 +70,8 @@ def _marks(g: Graph | MarkedGraph) -> tuple[Graph, frozenset[int]]:
 
 def _pattern_id(spec: str, level: int | None) -> PatternId:
     parts = spec.split(":")
+    if len(parts) > 2:
+        raise ValueError(f"pattern spec {spec!r} has more than two ':' parts")
     family = parts[0]
     if family == "aux":
         if len(parts) < 2:

@@ -39,6 +39,7 @@ from .core import (
     contract,
     deadline_after,
     max_disjoint_paths,
+    minimal_connecting_forest,
     norm_edge,
     time_left,
 )
@@ -231,10 +232,14 @@ def _structure(
     return s
 
 
-def _marks_in(g: Graph, u) -> frozenset[int]:
+def _marks_in(g: Graph, u, n: int) -> frozenset[int]:
+    """The marks u of a structure search at level n, checked: they lie in
+    g and n >= 1."""
     u = frozenset(u)
     if not u <= g.vertices:
         raise ValueError("marked vertices must lie in the graph")
+    if n < 1:
+        raise ValueError("level must be >= 1")
     return u
 
 
@@ -331,16 +336,16 @@ def star_comb(g: Graph, u: frozenset[int], n: int) -> CombStructure | None:
     vertices one of the two always exists.  Returns None when neither
     search succeeds; the caller treats that as budget exhaustion.
     """
-    u = _marks_in(g, u)
-    if n < 1:
-        raise ValueError("level must be >= 1")
+    u = _marks_in(g, u, n)
     return _star_search(g, u, n, "star") or _comb_search(g, u, n)
 
 
 def two_star_search(g: Graph, u: frozenset[int], n: int, d: int) -> CombStructure | None:
     """Find a comb, a star with all edges subdivided, or a dominating set
     of size at most d for the marks.  Returns None when all three fail."""
-    u = _marks_in(g, u)
+    u = _marks_in(g, u, n)
+    if d < 0:
+        raise ValueError("dominating set size must be >= 0")
     found = _comb_search(g, u, n) or _star_search(g, u, n, "two-star")
     if found is not None:
         return found
@@ -443,7 +448,7 @@ def two_connected_structures(g: Graph, u: frozenset[int], n: int) -> CombStructu
     from long-cycle enumeration.  None means no structure was found at
     this level, not that none exists.
     """
-    u = _marks_in(g, u)
+    u = _marks_in(g, u, n)
     for x, y in _path_pairs(g, n):
         found = _double_star_at(g, u, x, y, n)
         if found is not None:
@@ -528,20 +533,16 @@ def _aux(n: int, *kinds: str) -> list[PatternId]:
 
 # --- the four engines -------------------------------------------------
 
-def _spanning_forest_edges(g: Graph) -> set[tuple[int, int]]:
-    """The edges of _bfs_tree on every component."""
-    trees = [_bfs_tree(g, comp) for comp in g.components()]
-    return {norm_edge(x, y) for adj in trees for x, ys in adj.items() for y in ys}
-
-
 def forest_edge_dichotomy(g: Graph, n: int, k: int) -> DichotomyOutcome:
     """Either at most k edge deletions reach a forest, or a level-n
     witness: n disjoint triangles, n triangles on a shared vertex, or a
     K_{2,n}.  The flaw side is exact: it fires iff the cycle rank is at
-    most k, and the flaw is the complement of a spanning forest."""
+    most k, and the flaw is the complement of a spanning forest, the
+    connecting forest of all of g's vertices, from which nothing is
+    pruned."""
     flaw = None
     if g.cycle_rank() <= k:
-        flaw = frozenset(g.edges - _spanning_forest_edges(g))
+        flaw = frozenset(g.edges - minimal_connecting_forest(g, g.vertices).edges)
     return _dichotomy(g, n, flaw, _aux(n, "omegaK3", "veeK3", "K2w"),
                       f"cycle rank exceeds {k}")
 

@@ -35,22 +35,23 @@ are joined at the cut vertices and the whole rotation is re-traced before
 it is returned.
 
 Planarity has two modes, and every left-right (LR) run is a call of
-lr.lr_planarity on an edge list.  Before any run, _settled decides what it
-can without one: it counts edges and degrees, and it decides every graph with
-at most six vertices of degree >= 3 by topological reduction to at most six
-vertices, where a K5 or a K33 subgraph is the only obstruction.  is_planar()
-makes at most one LR run in the test's boolean mode, which stops after the
-testing search, and only for a graph with seven or more such vertices; it
-returns a bool and nothing else.  planarity() gives evidence either way: a
-planar graph gets the rotation system from one LR run in embedding mode,
-re-traced to genus 0, and a non-planar graph a K5/K33 subdivision witness
-read off the reduction, which knows the path of the input that each edge it
-keeps stands for.  A graph with at most six such vertices once its pendant
-edges are peeled is reduced once, with no LR run; any other is cut down to
-one non-planar block, which is shrunk by edge deletion on integer bit masks
-until a trial that stays non-planar has at most six.  Every witness is
-re-verified edge by edge.  min_genus settles its planar blocks with the same
-embedding-mode run.
+lr.lr_planarity on an edge list.  Both modes, and min_genus's probe of each
+block, share one front end, _settled_planarity, that decides what it can
+without a run: it counts edges and degrees, and only a graph that counting
+leaves open is relabelled, peeled of its pendant edges and, with at most six
+vertices of degree >= 3 left, decided by topological reduction to at most
+six vertices, where a K5 or a K33 subgraph is the only obstruction.
+is_planar() makes at most one LR run in the test's boolean mode, which stops
+after the testing search, and only for a graph with seven or more such
+vertices once peeled; it returns a bool and nothing else.  planarity() gives
+evidence either way: a planar graph gets the rotation system from one LR run
+in embedding mode, re-traced to genus 0, and a non-planar graph a K5/K33
+subdivision witness read off the reduction, which knows the path of the
+input that each edge it keeps stands for.  A graph the front end reduces
+gets its witness with no LR run; any other is cut down to one non-planar
+block, which is shrunk by edge deletion on integer bit masks until a trial
+that stays non-planar has at most six.  Every witness is re-verified edge by
+edge.  min_genus settles its planar blocks with the same embedding-mode run.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Literal, Sequence
+from types import EllipsisType
+from typing import Generator, Iterable, Literal, Sequence
 
 from . import lr
 from .core import Edge, Graph, SearchTimeout, blocks, deadline_after
@@ -372,37 +374,18 @@ def _block_kernel(
     return (2 - vn + en - best_f) // 2, rot
 
 
-def _search_block(
-    g: Graph, girth: int, lower: int, budget: int, deadline: float | None
-) -> _BlockGenus | None:
-    """Minimum genus of a non-planar 2-connected block if it is <= budget,
-    with a rotation attaining it; None if it exceeds the budget.
-
-    The kernel in its base dart order alone, with the deadline checked
-    after every slice of _SLICE nodes.  min_genus searches by _portfolio,
-    which starts with this order and gives the same genus or None.  Raises
-    SearchTimeout on deadline.
-    """
-    run = _block_kernel(g, girth, lower, budget)
-    while True:
-        try:
-            next(run)
-        except StopIteration as stop:
-            return stop.value
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout
-
-
 def _portfolio(
     g: Graph, girth: int, lower: int, budget: int, deadline: float | None
 ) -> _BlockGenus | None:
-    """What _search_block answers, from a portfolio of dart orders.
+    """Minimum genus of a non-planar 2-connected block if it is <= budget,
+    with a rotation attaining it; None if it exceeds the budget.  It comes
+    from a portfolio of dart orders of _block_kernel.
 
     A first-hit search's node count varies by orders of magnitude with the
     dart order, so one unlucky order can cost a hundred times the typical
     one.  The base order runs one slice alone; a search that ends there
-    returns exactly what _search_block returns, at the same cost.  Else
-    the kernels seeded with _SEEDS join it, and each round gives the base
+    returns the base order's own answer, at the same cost.  Else the
+    kernels seeded with _SEEDS join it, and each round gives the base
     order one slice before each seeded order's slice, as many as they get
     together.  The deadline is checked after every slice, and the first
     kernel to end decides.  Each answer is exact: a kernel that reaches the
@@ -572,22 +555,26 @@ class PlanarityResult:
 
 
 def _settled(
-    m: int, deg: list[int], reduced: Callable[[], bool | KuratowskiWitness]
-) -> bool | KuratowskiWitness | None:
+    m: int,
+    deg: list[int],
+    adj: list[int] | None = None,
+    labels: Sequence[int] | None = None,
+) -> bool | KuratowskiWitness | None | EllipsisType:
     """Planarity of a simple graph with m edges and vertex degrees deg,
     settled without an LR run, or None.
 
     Counting first.  A non-planar graph holds a K5 subdivision, with 10
     edges and 5 vertices of degree >= 4, or a K33 subdivision, with 9
     edges and 6 vertices of degree >= 3.  A graph that counting leaves
-    open with at most six vertices of degree >= 3 is decided by reduced(),
-    the topological reduction of _reduced_planar on its adjacency, whose
-    answer is returned as it is: True, or False or a witness.  With seven
-    or more it is non-planar if it has more than 3n - 6 edges, n its
-    vertices of positive degree, as every planar graph on n >= 3 vertices
-    has at most that many; otherwise it stays open.  The vertex count
-    comes from the same degrees, so a graph with many branch vertices,
-    such as a grid, pays nothing for the reduction.
+    open with at most six vertices of degree >= 3 is decided, given its
+    neighbour masks adj, by the topological reduction of _reduced_planar,
+    whose answer is returned as it is: True, or False or, given labels, a
+    witness; without adj it comes back as ..., open until the masks are
+    built.  With seven or more it is non-planar if it has more than
+    3n - 6 edges, n its vertices of positive degree, as every planar graph
+    on n >= 3 vertices has at most that many; otherwise it stays open.
+    The vertex count comes from the same degrees, so a graph with many
+    branch vertices, such as a grid, pays nothing for the reduction.
     """
     if m < 9:
         return True
@@ -596,7 +583,7 @@ def _settled(
     if three < 6 and three - deg.count(3) < 5:
         return True
     if three <= 6:
-        return reduced()
+        return ... if adj is None else _reduced_planar(adj, deg, labels)
     return False if m > 3 * n - 6 else None
 
 
@@ -712,16 +699,6 @@ def _masks(pos: dict[int, int], edges: Iterable[Edge]) -> list[int]:
     return adj
 
 
-def _settled_graph(g: Graph) -> bool | None:
-    """_settled on g; the reduction relabels g only if it runs."""
-    deg = list(map(g.degree, g.vertices))
-
-    def reduced() -> bool:
-        return _reduced_planar(_masks(dict(zip(g.vertices, range(g.n))), g.edges), deg)
-
-    return _settled(g.m, deg, reduced)
-
-
 def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
     """A genus-0 rotation of g from one LR run in embedding mode, or None
     if g is not planar.  Paths and cycles need no run: their rotations are
@@ -736,32 +713,47 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
 
 def _planar_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
     """A genus-0 rotation of g from at most one LR run, or None if g is not
-    planar.  A graph that _settled finds non-planar needs no run: one
-    denser than 3n - 6, or one with at most six vertices of degree >= 3
-    that reduces to a K5 or K33.  A planar verdict still takes the run, for
-    the rotation."""
-    return None if _settled_graph(g) is False else _lr_rotation(g)
+    planar.  A graph that _settled_planarity finds non-planar needs no
+    run.  A planar verdict still takes the run, for the rotation."""
+    return None if _settled_planarity(g) is False else _lr_rotation(g)
 
 
 def is_planar(g: Graph) -> bool:
-    """Boolean planarity: _settled, then at most one LR run, which only a
-    graph with seven or more vertices of degree >= 3 can need.  No rotation
-    and no witness is built, so nothing is certified; callers that need
-    evidence use planarity()."""
-    known = _settled_graph(g)
+    """Boolean planarity: _settled_planarity, then at most one LR run.  No
+    rotation and no witness is built, so nothing is certified; callers
+    that need evidence use planarity()."""
+    known = _settled_planarity(g)
     if known is not None:
         return known
     return lr.lr_planarity(g.edges) is not None
 
 
+def _settled_planarity(g: Graph, certify: bool = False) -> bool | KuratowskiWitness | None:
+    """g's planarity settled without an LR run, or None: the one front end
+    of both modes.  _settled counts on g's degrees first, so what counting
+    settles builds no masks.  Only a graph that counting leaves open with
+    a pendant edge, or for the reduction, is relabelled in vertex order
+    for _peeled; peeling turns no count's verdict, since a graph denser
+    than 3n - 6 with seven or more vertices of degree >= 3 stays so once
+    its pendant trees are gone.  certify asks for the reduction's witness
+    in place of its False."""
+    deg = list(map(g.degree, g.vertices))
+    known = _settled(g.m, deg)
+    if known is ... or (known is None and 1 in deg):
+        labels = sorted(g.vertices)
+        adj = _masks(dict(zip(labels, range(g.n))), g.edges)
+        known, _ = _peeled(adj, labels if certify else None)
+    return known
+
+
 def _peeled(
-    adj: list[int], labels: Sequence[int]
+    adj: list[int], labels: Sequence[int] | None
 ) -> tuple[bool | KuratowskiWitness | None, list[int]]:
     """Peel pendant edges off the graph on 0..k-1 with neighbour masks adj
     until none is left; adj is peeled in place.  Returns the planarity of
-    the rest as _settled gives it, with the reduction's witness, on labels,
-    in place of False, and the rest's degrees.  An edge at a vertex of
-    degree 1 lies in no Kuratowski subgraph."""
+    the rest as _settled gives it, given labels with the reduction's
+    witness, on them, in place of False, and the rest's degrees.  An edge
+    at a vertex of degree 1 lies in no Kuratowski subgraph."""
     deg = list(map(int.bit_count, adj))
     if 1 in deg:
         leaves = [v for v, d in enumerate(deg) if d == 1]
@@ -775,7 +767,7 @@ def _peeled(
             deg[w] -= 1
             if deg[w] == 1:
                 leaves.append(w)
-    return _settled(sum(deg) // 2, deg, lambda: _reduced_planar(adj, deg, labels)), deg
+    return _settled(sum(deg) // 2, deg, adj, labels), deg
 
 
 def _nonplanar_block(
@@ -921,17 +913,16 @@ def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
 def planarity(g: Graph) -> PlanarityResult:
     """Planarity with evidence either way, the certificate mode.
 
-    g is relabelled once in vertex order, its pendant edges are peeled,
-    and _settled is asked.  With at most six vertices of degree >= 3 left
-    the reduction decides g, and on non-planar g it gives the witness: one
-    reduction, no LR run.  Planar input costs at most one LR run, whose
-    embedding becomes a rotation system that is re-traced to genus 0.
+    _settled_planarity asks first.  With at most six vertices of degree
+    >= 3 left once the pendant edges are peeled the reduction decides g,
+    and on non-planar g it gives the witness: one reduction, no LR run.
+    Planar input costs at most one LR run, whose embedding becomes a
+    rotation system that is re-traced to genus 0.
     Other non-planar input gets its witness from _kuratowski_witness.
     Every witness is re-verified edge by edge.  Use is_planar() when a
     bool is enough.
     """
-    labels = sorted(g.vertices)
-    known, _ = _peeled(_masks(dict(zip(labels, range(g.n))), g.edges), labels)
+    known = _settled_planarity(g, certify=True)
     if known is True or known is None:
         rot = _lr_rotation(g)
         if rot is not None:

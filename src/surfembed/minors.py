@@ -20,15 +20,16 @@ the host component of its first branch set.  A packing that cannot fit
 the host by vertex and edge count returns before it indexes anything.
 Otherwise it shares one plan across all its streams, keeps its partial
 packings as mask tuples and recurses on a mask of the vertices still
-free.  It searches for a complete packing only: a level whose copies do
-not fit its free vertices and edges by count fails at once, and from the
-first copy on it skips every model whose support contains the drop of a
-model whose residue already failed, since that leaves a subgraph of the
-failed residue, and every model whose support leaves too few free
-vertices or edges for the copies still to come; the stream counts the
-edges a placement takes while it places branch sets (int.bit_count
-needs Python 3.10).  A bouquet tries one hub vertex per class of host
-twins, which an automorphism of the host swaps, and, when h minus its
+free.  It searches for a complete packing only: from the first copy on
+it skips every model whose support contains the drop of a model whose
+residue already failed, since that leaves a subgraph of the failed
+residue, and every model whose support leaves too few free vertices or
+edges for the copies still to come, so every deeper level fits its
+copies by count; the stream counts the edges a placement takes while it
+places branch sets (int.bit_count needs Python 3.10).  One twin rule,
+_twin_masks, serves the pattern and the host: a plan keeps one model per
+orbit of pattern twins, and a bouquet tries one hub vertex per class of
+host twins, which an automorphism of the host swaps, and, when h minus its
 hub is connected, refuses a hub vertex or a deeper level whose free
 components cannot hold the copies still needed by size, by edges to the
 hub vertex and by cycle rank.  _pack's docstring proves each cut sound:
@@ -250,14 +251,27 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _twin_masks(nbr) -> tuple[int, ...]:
+    """For each bit i of the neighbourhood masks nbr, the mask of the bits
+    j != i with N(i) - {j} = N(j) - {i}: false twins share their
+    neighbourhood mask, true twins their closed one.  No vertex has both
+    (a false twin q and a true twin r of p would make q adjacent to r, so
+    to p), so twinship is an equivalence and each mask is a class."""
+    alike: dict[tuple[bool, int], int] = {}
+    for i, m in enumerate(nbr):
+        for key in ((False, m), (True, m | 1 << i)):
+            alike[key] = alike.get(key, 0) | 1 << i
+    return tuple(
+        (alike[False, m] | alike[True, m | 1 << i]) & ~(1 << i) for i, m in enumerate(nbr)
+    )
+
+
 class _Host:
     """A host graph indexed for the search: vertex ids in sorted order
     become bit positions, so the smallest id of a set is the lowest bit
     of its mask, and nbr[i] is the neighbourhood mask of bit i.  twins[i]
-    is the mask of the bits j != i with N(i) - {j} = N(j) - {i}: false
-    twins share their neighbourhood mask, true twins their closed one.
-    Nothing changes it after construction, so _host_index shares one per
-    graph."""
+    is bit i's _twin_masks entry.  Nothing changes it after
+    construction, so _host_index shares one per graph."""
 
     __slots__ = ("ids", "bit", "nbr", "twins")
 
@@ -265,13 +279,7 @@ class _Host:
         self.ids = tuple(sorted(g.vertices))
         self.bit = {v: i for i, v in enumerate(self.ids)}
         self.nbr = nbr = tuple(self.mask(g.neighbors(v)) for v in self.ids)
-        alike: dict[tuple[bool, int], int] = {}
-        for i, m in enumerate(nbr):
-            for key in ((False, m), (True, m | 1 << i)):
-                alike[key] = alike.get(key, 0) | 1 << i
-        self.twins = tuple(
-            (alike[False, m] | alike[True, m | 1 << i]) & ~(1 << i) for i, m in enumerate(nbr)
-        )
+        self.twins = _twin_masks(nbr)
 
     def mask(self, vs) -> int:
         bit = self.bit
@@ -389,37 +397,6 @@ def _seed_plan(allowed: int, root: int | None, above: int):
     return plan
 
 
-def _twin_predecessors(
-    h: Graph, order: tuple[int, ...], h_marked: frozenset[int], rooted: frozenset[int]
-) -> dict[int, int]:
-    """Map each pattern vertex to the twin placed just before it.
-
-    p and q are twins when N(p) - {q} = N(q) - {p}, both or neither are
-    marked and neither is rooted.  Swapping the branch sets of twins maps
-    a model to a model with the same support, so requiring min(branch
-    set) to increase along each twin class, in placement order, keeps one
-    model per orbit.  A vertex joins a class only if it is a twin of every
-    member.
-    """
-
-    def twins(p: int, q: int) -> bool:
-        return (p in h_marked) == (q in h_marked) and (
-            set(h.neighbors(p)) - {q} == set(h.neighbors(q)) - {p}
-        )
-
-    classes: list[list[int]] = []
-    for p in order:
-        if p in rooted:
-            continue
-        for cls in classes:
-            if all(twins(p, q) for q in cls):
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
-    return {cls[i]: cls[i - 1] for cls in classes for i in range(1, len(cls))}
-
-
 @functools.lru_cache(maxsize=256)
 def _plan(h: Graph, h_marked: frozenset[int], rooted: frozenset[int]):
     """How a stream places the vertices of a pattern h, as (order, steps,
@@ -432,20 +409,32 @@ def _plan(h: Graph, h_marked: frozenset[int], rooted: frozenset[int]):
     descending degree.  steps[i], for the vertex order[i]: the positions
     of its neighbours placed before it, the number placed after it,
     whether it is marked, and the position of its twin predecessor (or
-    None).  connected: whether h is connected.  lobe: when one vertex p
-    is rooted, h is connected and h - p is connected and non-empty, the
-    pair (|V(h)| - 1, rank(h) + 1) that _pack's lobe count reads; else
-    None.  All of it is tuples, so no caller can change a memoised plan.
+    None): the last earlier position among its _twin_masks twins with
+    the same mark status, where neither is rooted.  Swapping the branch
+    sets of such twins maps a model to a model with the same support, so
+    requiring min(branch set) to increase along each class, in placement
+    order, keeps one model per orbit.  connected: whether h is connected.
+    lobe: when one vertex p is rooted, h is connected and h - p is
+    connected and non-empty, the pair (|V(h)| - 1, rank(h) + 1) that
+    _pack's lobe count reads; else None.  All of it is tuples, so no
+    caller can change a memoised plan.
     """
     order = tuple(sorted(h.vertices, key=lambda p: (p not in rooted, -h.degree(p), p)))
     pos = {p: i for i, p in enumerate(order)}
-    twin_before = _twin_predecessors(h, order, h_marked, rooted)
+    twins = _twin_masks([sum(1 << pos[q] for q in h.neighbors(p)) for p in order])
+    marked = sum(1 << i for i, p in enumerate(order) if p in h_marked)
+    free = sum(1 << i for i, p in enumerate(order) if p not in rooted)
+
+    def twin_before(i: int) -> int | None:
+        alike = twins[i] & free & (marked if marked >> i & 1 else ~marked) & ((1 << i) - 1)
+        return alike.bit_length() - 1 if alike and free >> i & 1 else None
+
     steps = tuple(
         (
             tuple(pos[q] for q in h.neighbors(p) if pos[q] < i),
             sum(1 for q in h.neighbors(p) if pos[q] > i),
             p in h_marked,
-            pos[twin_before[p]] if p in twin_before else None,
+            twin_before(i),
         )
         for i, p in enumerate(order)
     )
@@ -757,8 +746,6 @@ def _pack(
     n: int,
     timeout: float | None,
     hub: int | None,
-    g_marked: frozenset[int],
-    h_marked: frozenset[int],
 ) -> PackResult:
     """Find n models of h in g whose supports are pairwise disjoint
     (hub None) or pairwise meet in one host vertex z lying in every
@@ -770,11 +757,14 @@ def _pack(
     certifies that no packing of n copies exists.  Six prunes cut the
     search:
 
-    - Count.  k more copies sharing `shared` vertices (none, or z) and no
-      edge need k*(|V(h)| - shared) + shared host vertices and k*|E(h)|
-      host edges; a level where they do not fit fails at once.  When the
-      n copies do not fit g, which depends neither on z nor on any index,
-      the call returns before it sets a deadline, indexes g or plans h.
+    - Count.  k copies sharing `shared` vertices (none, or z) and no edge
+      need k*(|V(h)| - shared) + shared host vertices and k*|E(h)| host
+      edges.  When the n copies do not fit g, which depends neither on z
+      nor on any index, the call returns before it sets a deadline,
+      indexes g or plans h.  No deeper level needs the test again: its
+      free mask is the residue of a model that passed the room, so it
+      keeps at least (k - 1)*(|V(h)| - shared) + shared vertices, and the
+      edge room, so it keeps at least (k - 1)*|E(h)| edges.
     - Room.  A level that needs k copies streams only models whose
       support is at most |free| - (k - 1)*(|V(h)| - shared), since a
       larger one leaves too few vertices for the other k - 1 copies.
@@ -787,8 +777,8 @@ def _pack(
       model whose support contains it: that model leaves a subgraph of
       the failed residue, which holds no packing either.
     - Twin hubs.  Host vertices u and v are twins when N(u) - {v} =
-      N(v) - {u}; swapping them (both marked or neither) is an
-      automorphism of g that maps every bouquet at u to one at v.  So
+      N(v) - {u}; swapping them is an automorphism of g that maps every
+      bouquet at u to one at v.  So
       once a hub vertex is exhausted, its twins are skipped.  Twins have
       equal degrees, so the hub order is unchanged.
     - Lobes.  Let h and h - hub be connected.  In a model, trim the hub
@@ -826,15 +816,11 @@ def _pack(
     if n < 1:
         raise ValueError("need n >= 1")
     shared = 0 if hub is None else 1
-
-    def fits(k: int, size: int, edges: int) -> bool:
-        return k * (h.n - shared) + shared <= size and k * h.m <= edges
-
-    if not fits(n, g.n, g.m):
+    if n * (h.n - shared) + shared > g.n or n * h.m > g.m:
         return PackResult([], complete=False, exhausted=True, hub_vertex=None)
     deadline = deadline_after(timeout)
     host = _host_index(g)
-    plan = _plan(h, frozenset(h_marked), frozenset(() if hub is None else (hub,)))
+    plan = _plan(h, frozenset(), frozenset(() if hub is None else (hub,)))
     lobe = plan[3]  # None for a disjoint packing, which roots nothing
     nbr = host.nbr
     best: list[tuple[int, ...]] = []
@@ -860,16 +846,14 @@ def _pack(
         if k == 0:
             return acc
         size, edges = free.bit_count(), host.edge_count(free)
-        if not fits(k, size, edges):
-            return None
         if lobe is not None and not lobes_fit(k, free, host.bit[z]):
             return None
         roots = None if z is None else {hub: z}
         keep = 0 if z is None else 1 << host.bit[z]
         failed: list[int] = []
         for masks in _model_stream(
-            g, h, g_marked=g_marked, roots=roots, deadline=deadline, host=host,
-            free=free, failed=failed, room=size - (k - 1) * (h.n - shared), plan=plan,
+            g, h, roots=roots, deadline=deadline, host=host, free=free, failed=failed,
+            room=size - (k - 1) * (h.n - shared), plan=plan,
             free_edges=edges, edge_room=(k - 1) * h.m,
         ):
             drop = 0
@@ -890,7 +874,6 @@ def _pack(
     hubs: list[int | None] = [None]
     if hub is not None:
         hubs = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    marked = host.mask(v for v in g_marked if v in host.bit)
     skip = 0
     try:
         for z in hubs:
@@ -900,8 +883,7 @@ def _pack(
             if got is not None:
                 return result(got, z, True, True)
             if z is not None:
-                zbit = host.bit[z]
-                skip |= host.twins[zbit] & (marked if marked >> zbit & 1 else ~marked)
+                skip |= host.twins[host.bit[z]]
     except SearchTimeout:
         return result(best, best_hub, False, False)
     return result(best, best_hub, False, True)
@@ -912,11 +894,9 @@ def pack_disjoint(
     h: Graph,
     n: int,
     timeout: float | None = None,
-    g_marked: frozenset[int] = frozenset(),
-    h_marked: frozenset[int] = frozenset(),
 ) -> PackResult:
     """Find n models of h in g with pairwise disjoint supports; see _pack."""
-    return _pack(g, h, n, timeout, None, g_marked, h_marked)
+    return _pack(g, h, n, timeout, None)
 
 
 def pack_bouquet(
@@ -930,5 +910,5 @@ def pack_bouquet(
     common host vertex, lying in every model's hub branch set; see _pack."""
     if hub not in h.vertices:
         raise ValueError(f"hub {hub} is not a pattern vertex")
-    return _pack(g, h, n, timeout, hub, frozenset(), frozenset())
+    return _pack(g, h, n, timeout, hub)
 

@@ -23,6 +23,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .core import Edge, Graph, MarkedGraph, complete_bipartite, complete_graph, cone, norm_edge
+from .embeddings import planarity
 from .iso import are_isomorphic
 from .minors import (
     MarkedMinorModel,
@@ -404,8 +405,6 @@ def verify_catalog(
         small, big = sigma(i, n), sigma(i, n + 1)
         ok = small.edges <= big.edges and small.vertices <= big.vertices
         rep.invariants.append(CatalogRow(f"sigma{i}({n}) grows into sigma{i}({n + 1})", ok))
-    from .embeddings import planarity
-
     for i in range(1, 5):
         t = theta(i)
         coned, _ = cone(t.graph, t.marked)

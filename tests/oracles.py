@@ -10,7 +10,9 @@ trial's exact genus, to check that decompose's yes/no trials keep the
 same core; and k2n_by_all_pairs and two_connected_by_all_pairs, which
 run dichotomy's path families on every vertex pair, to check that
 skipping the pairs without room for n paths changes no witness or
-structure.  max_flow_by_dicts is the tuple-keyed flow that core's
+structure.  search_block_in_base_order runs the genus kernel in its base
+dart order alone, the reference for the portfolio of min_genus.
+max_flow_by_dicts is the tuple-keyed flow that core's
 array-based flow replaced, kept to pin its paths and separator.
 glued_by_family rebuilds every pattern glued from copies of one block
 with the per-family layout formulas that patterns.copies replaced, to pin
@@ -22,10 +24,18 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import time
 from collections import deque
 
 from surfembed import dichotomy, embeddings, minors
-from surfembed.core import Graph, MarkedGraph, complete_bipartite, complete_graph, norm_edge
+from surfembed.core import (
+    Graph,
+    MarkedGraph,
+    SearchTimeout,
+    complete_bipartite,
+    complete_graph,
+    norm_edge,
+)
 from surfembed.patterns import PatternId, theta
 
 # pattern edges, per-role degree needs, and interchangeable role groups
@@ -490,6 +500,27 @@ def search_block_by_lists(
             d = best_succ[d]
         rot[verts[v]] = tuple(verts[head[d]] for d in cyc)
     return (2 - vn + en - best_f) // 2, rot
+
+
+def search_block_in_base_order(
+    g: Graph, girth: int, lower: int, budget: int, deadline: float | None
+) -> tuple[int, dict[int, tuple[int, ...]]] | None:
+    """Minimum genus of a non-planar 2-connected block if it is <= budget,
+    with a rotation attaining it; None if it exceeds the budget.
+
+    The kernel in its base dart order alone, with the deadline checked
+    after every slice of embeddings._SLICE nodes.  min_genus searches by
+    embeddings._portfolio, which starts with this order and gives the
+    same genus or None.  Raises SearchTimeout on deadline.
+    """
+    run = embeddings._block_kernel(g, girth, lower, budget)
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            return stop.value
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout
 
 
 def pack_by_stream(g: Graph, h: Graph, n: int, hub: int | None = None) -> minors.PackResult:

@@ -111,6 +111,19 @@ def test_star_comb_argument_checks():
         star_comb(g, frozenset([1]), 0)
 
 
+def test_structure_searches_reject_levels_below_one():
+    # a level below 1 used to come back as a "found" structure of that level
+    g = _star(3)
+    u = frozenset([1, 2, 3])
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            two_star_search(g, u, n, d=1)
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            two_connected_structures(g, u, n)
+    with pytest.raises(ValueError):
+        two_star_search(g, u, 2, d=-2)
+
+
 def test_two_star_prefers_comb_when_one_exists():
     g = _star(8)
     u = frozenset(range(1, 9))

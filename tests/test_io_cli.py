@@ -349,6 +349,17 @@ def test_cli_starcomb(tmp_path, capsys):
     assert main(["verify", "comb", "--graph", star, "--witness", wfile]) == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["-n", "0", "-d", "1"], ["-n", "-3", "--two-connected"], ["-n", "0"], ["-n", "2", "-d", "-2"]],
+)
+def test_cli_starcomb_rejects_levels_below_one(tmp_path, capsys, args):
+    tri = _write(tmp_path, "tri.txt", "0 1\n1 2\n0 2\nM 0\nM 1\nM 2\n")
+    assert main(["starcomb", "--json", tri, *args]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_cli_starcomb_exhaustion(tmp_path):
     # three marks cannot reach level 5
     star = _write(tmp_path, "star3.txt",
@@ -374,6 +385,16 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["pattern", "sigma:9", "-n", "2"]) == 1
     assert main(["pattern", "u:1"]) == 1  # missing level
+
+
+@pytest.mark.parametrize(
+    "args", [["sigma:1:junk", "-n", "1"], ["theta:2:9"], ["aux:veeK3:7", "-n", "2"]]
+)
+def test_cli_pattern_spec_with_extra_parts_is_an_error(capsys, args):
+    # the parts after the second used to be dropped without a word
+    assert main(["pattern", *args]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
 
 
 def test_cli_decompose_timeout_reports_timeout(tmp_path, capsys):
